@@ -72,14 +72,14 @@ def _median_with_support(c: np.ndarray):
     """Median of all entries plus the flat indices/weights realizing it,
     so the median can participate in the backward pass."""
     flat = c.ravel()
-    order = np.argsort(flat, kind="stable")
     nn = flat.size
-    if nn % 2 == 1:
-        idx = [order[nn // 2]]
-        wts = [1.0]
-    else:
-        idx = [order[nn // 2 - 1], order[nn // 2]]
-        wts = [0.5, 0.5]
+    ks = [nn // 2] if nn % 2 == 1 else [nn // 2 - 1, nn // 2]
+    wts = [1.0 / len(ks)] * len(ks)
+    part = np.partition(flat, ks)
+    # the index a stable argsort puts at rank k: of the entries equal to
+    # the k-th smallest value, in index order, the one after those that
+    # rank below k
+    idx = [np.flatnonzero(flat == part[k])[k - np.count_nonzero(flat < part[k])] for k in ks]
     med = float(sum(w * flat[i] for i, w in zip(idx, wts)))
     return med, idx, wts
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import io as nio
 from .gradcheck import fd_max_rel_err
+from .linalg import NumericError
 from .runner import (
     DegenerateSplitError,
     MetricsReport,
@@ -110,7 +111,7 @@ def cmd_train(args) -> int:
         params, report = runner_fn(ds, split, cfg)
     except DegenerateSplitError as exc:
         raise CliError(EXIT_DEGENERATE_SPLIT, str(exc))
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, NumericError) as exc:
         raise CliError(EXIT_NONFINITE_LOSS, str(exc))
     if args.checkpoint:
         try:

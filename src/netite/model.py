@@ -1,13 +1,13 @@
 """GCN confounder encoder with treatment-conditional outcome heads.
 
-The encoder stacks graph-convolution layers H_l = relu(A_hat H_{l-1} U_l
-+ b_l) starting from the feature matrix. Two separate output heads (one
-per treatment arm) apply L fully connected ReLU layers followed by a
-scalar regression layer; an instance is routed to the head matching its
-treatment assignment. All gradients are exact reverse-mode and hand
-written; `backward` additionally accepts an external gradient with
-respect to the representations so the balancing penalty can be chained
-in.
+The encoder stacks graph-convolution layers H_l = relu(A_hat (H_{l-1} U_l)
++ b_l) from the feature matrix, weighting before propagating so each
+sparse product runs at the layer's output width. Two output heads (one
+per treatment arm) apply L fully connected ReLU layers and a scalar
+regression layer; each row is routed to the head of its treatment. All
+gradients are exact, reverse-mode and hand written, and end at the first
+layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
+from the balancing penalty.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class ForwardTrace:
     """Intermediates retained by `forward` for the backward pass."""
 
     ahat: sp.csr_matrix
-    enc_inputs: list  # A_hat @ H_{l-1} per encoder layer
+    enc_inputs: list  # layer inputs H_{l-1}; entry 0 is X itself, not a copy
     enc_pre: list  # pre-activations Z_l
     enc_act: list  # activations H_l; last entry is the representation H
     head_pre: list  # [t][l] pre-activations
@@ -142,7 +142,7 @@ def init_params(cfg, num_features: int, rng: np.random.Generator) -> ModelParams
 
 
 def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
-    """Representations H = relu(A_hat ... relu(A_hat X U_1 + b_1) ... U_g + b_g).
+    """Representations H = relu(A_hat (... relu(A_hat (X U_1) + b_1) ... U_g) + b_g).
 
     Returns (H, enc_inputs, enc_pre, enc_act) so callers building a trace
     avoid recomputation.
@@ -155,10 +155,9 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
-        m = spmm(ahat, h)
-        z = m @ w + b
+        z = spmm(ahat, h @ w) + b
+        enc_inputs.append(h)
         h = relu(z)
-        enc_inputs.append(m)
         enc_pre.append(z)
         enc_act.append(h)
     return h, enc_inputs, enc_pre, enc_act
@@ -248,8 +247,9 @@ def backward(
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
-        grads.gcn_weights[l] = trace.enc_inputs[l].T @ gz
+        gm = spmm(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
+        grads.gcn_weights[l] = trace.enc_inputs[l].T @ gm
         grads.gcn_biases[l] = gz.sum(axis=0)
-        # A_hat is symmetric, so A_hat^T gz == A_hat gz
-        gh = spmm(trace.ahat, gz @ params.gcn_weights[l].T)
+        if l > 0:  # nothing reads dL/dX
+            gh = gm @ params.gcn_weights[l].T
     return grads

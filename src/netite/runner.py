@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .balance import SinkhornConfig, wasserstein1
 from .graph import identity_adjacency, normalize_adjacency
 from .linalg import make_rng
-from .model import ModelParams, backward, encode, forward, init_params, predict
+from .model import ModelParams, _head_forward, backward, encode, forward, init_params
 from .optim import AdamState, adam_step
 from .simgen import NetworkedDataset
 
@@ -157,12 +157,10 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
 
 
 def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat) -> dict:
-    """Per-split rooted PEHE, ATE error, and factual MSE from two
-    all-ones / all-zeros head passes."""
+    """Per-split rooted PEHE, ATE error, and factual MSE from one pass
+    of each head over every row."""
     h, _, _, _ = encode(params, ahat, dataset.x)
-    n = dataset.n
-    y1_hat = predict(params, h, np.ones(n, dtype=np.int64))
-    y0_hat = predict(params, h, np.zeros(n, dtype=np.int64))
+    y0_hat, y1_hat = (_head_forward(params, h, t)[0] for t in (0, 1))
     tau_hat = y1_hat - y0_hat
     tau = dataset.true_ite()
     yhat_f = np.where(dataset.t == 1, y1_hat, y0_hat)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from netite.balance import (
     DegenerateGroupsError,
     SinkhornConfig,
+    _median_with_support,
     exact_w1_oracle,
     wasserstein1,
 )
@@ -127,3 +131,19 @@ def test_unconverged_cap_is_flagged():
     assert not res.converged
     assert res.iterations == 2
     assert np.isfinite(res.dist)
+
+
+# A few repeated values give many ties; the shapes give odd and even sizes.
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 13), st.integers(1, 13)),
+              elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]) | st.floats(0.0, 10.0)))
+def test_median_support_matches_stable_argsort(c):
+    flat = c.ravel()
+    order = np.argsort(flat, kind="stable")
+    nn = flat.size
+    ref_idx = [order[nn // 2]] if nn % 2 == 1 else [order[nn // 2 - 1], order[nn // 2]]
+    ref_wts = [1.0] if nn % 2 == 1 else [0.5, 0.5]
+    med, idx, wts = _median_with_support(c)
+    assert [int(i) for i in idx] == [int(i) for i in ref_idx]
+    assert wts == ref_wts
+    assert med == float(sum(w * flat[i] for i, w in zip(ref_idx, ref_wts)))

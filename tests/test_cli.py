@@ -121,6 +121,23 @@ def test_train_ablation_flag_changes_result(tmp_path, capsys):
     assert full != abl
 
 
+def test_train_non_finite_gradient_exits_5(tmp_path, capsys, monkeypatch):
+    import netite.runner
+    from netite.linalg import NumericError
+
+    def failing_step(state, theta, grad):
+        raise NumericError("non-finite gradient at coordinate 0")
+
+    out = simulate_dir(tmp_path, capsys=capsys)
+    monkeypatch.setattr(netite.runner, "adam_step", failing_step)
+    rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "non-finite gradient" in captured.err
+
+
 def test_eval_reproduces_training_metrics(tmp_path, capsys):
     out = simulate_dir(tmp_path, capsys=capsys)
     ckpt = tmp_path / "model.ckpt"

@@ -183,6 +183,58 @@ def test_permutation_equivariance():
     assert np.allclose(h_p[perm], h, rtol=0, atol=1e-12)
 
 
+def wide_first_layer_instance():
+    """30 features into 3-dimensional layers, so layer 0 is wide."""
+    cfg = small_cfg(gcn_layers=2, out_layers=2, rep_dim=3, hidden_units=3)
+    rng = make_rng(10)
+    p = init_params(cfg, 30, rng)
+    for b in p.gcn_biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    net = Network.from_pairs(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (0, 7), (2, 6)])
+    x = rng.normal(size=(8, 30))
+    return p, normalize_adjacency(net), x, np.array([0, 1, 0, 1, 0, 1, 1, 0])
+
+
+def left_associated_encode(p, ahat, x):
+    """Layer inputs (A_hat H_{l-1}), pre-activations (A_hat H_{l-1}) U_l + b_l
+    and representation: `encode`'s map with the products grouped the
+    other way."""
+    h, inputs, pre = x, [], []
+    for w, b in zip(p.gcn_weights, p.gcn_biases):
+        inputs.append(ahat @ h)
+        pre.append(inputs[-1] @ w + b)
+        h = np.maximum(pre[-1], 0.0)
+    return h, inputs, pre
+
+
+def max_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def test_encode_matches_left_associated_products():
+    p, ahat, x, _ = wide_first_layer_instance()
+    h, _, enc_pre, _ = encode(p, ahat, x)
+    h_ref, _, pre_ref = left_associated_encode(p, ahat, x)
+    assert max_rel_err(h, h_ref) < 1e-12
+    for z, z_ref in zip(enc_pre, pre_ref):
+        assert max_rel_err(z, z_ref) < 1e-12
+
+
+def test_gcn_weight_grads_match_left_associated_products():
+    # grad_yhat = 0 makes dL/dH the injected gradient, so the reference
+    # needs no head backward
+    p, ahat, x, t = wide_first_layer_instance()
+    _, trace = forward(p, ahat, x, t)
+    gh = make_rng(11).normal(size=trace.enc_act[-1].shape)
+    grads = backward(p, trace, np.zeros(t.size), gh)
+    _, inputs, _ = left_associated_encode(p, ahat, x)
+    for l in (1, 0):
+        gz = np.where(trace.enc_pre[l] > 0.0, gh, 0.0)
+        assert max_rel_err(grads.gcn_weights[l], inputs[l].T @ gz) < 1e-12
+        assert max_rel_err(grads.gcn_biases[l], gz.sum(axis=0)) < 1e-12
+        gh = ahat @ (gz @ p.gcn_weights[l].T)
+
+
 def test_forward_deterministic():
     cfg = small_cfg(gcn_layers=2, out_layers=2)
     net = Network.from_pairs(6, [(0, 1), (2, 3), (4, 5), (1, 4)])

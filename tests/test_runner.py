@@ -216,6 +216,26 @@ def test_ablation_identity_equals_dense_forward():
     assert y_graph[i] == y_dense
 
 
+def test_evaluate_equals_two_predict_passes():
+    from netite.graph import normalize_adjacency
+    from netite.model import encode, predict
+    from netite.runner import SplitMetrics, evaluate
+
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    params = init_params(tiny_cfg(gcn_layers=2, out_layers=2), ds.x.shape[1], make_rng(3))
+    ahat = normalize_adjacency(ds.net)
+    h = encode(params, ahat, ds.x)[0]
+    y1 = predict(params, h, np.ones(ds.n, dtype=np.int64))
+    y0 = predict(params, h, np.zeros(ds.n, dtype=np.int64))
+    tau_hat, tau, yhat_f = y1 - y0, ds.true_ite(), np.where(ds.t == 1, y1, y0)
+    got = evaluate(params, ds, split, ahat)
+    for name, idx in (("train", split.train), ("valid", split.valid), ("test", split.test)):
+        pehe_sqrt, ate_err = metrics(tau_hat[idx], tau[idx])
+        mse = float(np.mean((yhat_f[idx] - ds.yf[idx]) ** 2))
+        assert got[name] == SplitMetrics(pehe_sqrt, ate_err, mse)
+
+
 def test_ablation_runs_and_differs_from_full():
     ds = tiny_dataset(kappa2=2.0)
     split = make_split(ds.n, ds.t, 0)
