@@ -2,7 +2,8 @@
 
 Subcommands: simulate, train, grid, eval, gradcheck. Tables go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 2 bad
-configuration or missing input file, 3 I/O failure, 4 degenerate split,
+configuration, missing input file or unsupported dataset format
+version, 3 I/O failure or malformed dataset file, 4 degenerate split,
 5 non-finite loss, 6 checkpoint mismatch, 7 gradient check failure.
 Every command is deterministic given identical inputs and seed.
 """
@@ -84,7 +85,7 @@ def cmd_simulate(args) -> int:
 def _read_dataset(path):
     try:
         return nio.read_dataset(path)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, nio.DatasetVersionError) as exc:
         raise CliError(EXIT_BAD_CONFIG, str(exc))
     except (OSError, ValueError) as exc:
         raise CliError(EXIT_IO, f"cannot read dataset {path}: {exc}")
@@ -136,14 +137,18 @@ GRID_KEY_MAP = {"lr": "learning_rate", "lambda": "lam", "alpha": "alpha",
 
 def expand_grid_file(axes: dict, seed: int) -> list:
     """Grid file keys use the CLI flag names; "dim" ties the
-    representation and hidden dimensionality together."""
+    representation and hidden dimensionality together. Every key,
+    epochs included, is an axis; a scalar is a one-value axis."""
     unknown = set(axes) - set(GRID_KEY_MAP)
     if unknown:
         raise CliError(EXIT_BAD_CONFIG, f"unknown grid axes: {sorted(unknown)}")
-    mapped = {GRID_KEY_MAP[k]: v for k, v in axes.items()}
-    epochs = mapped.pop("epochs", [50])
-    base = TrainConfig(seed=seed, epochs=epochs[0] if isinstance(epochs, list) else epochs)
-    cells = expand_grid(base, mapped)
+    mapped = {GRID_KEY_MAP[k]: v if isinstance(v, list) else [v] for k, v in axes.items()}
+    try:
+        cells = expand_grid(TrainConfig(seed=seed, epochs=50), mapped)
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_BAD_CONFIG, f"bad grid value: {exc}")
+    if not cells:
+        raise CliError(EXIT_BAD_CONFIG, "grid has an empty axis")
     return [dataclasses.replace(c, hidden_units=c.rep_dim) for c in cells]
 
 
@@ -172,9 +177,9 @@ def cmd_grid(args) -> int:
                                 str(c.out_layers), str(c.rep_dim), val, status]))
     grid_table = "\n".join(lines) + "\n"
     print(grid_table, end="")
-    print("winner\tlr=%s\talpha=%s\tlambda=%s\tout_layers=%d\tdim=%d"
+    print("winner\tlr=%s\talpha=%s\tlambda=%s\tout_layers=%d\tdim=%d\tepochs=%d"
           % (nio._fmt(best_cfg.learning_rate), nio._fmt(best_cfg.alpha),
-             nio._fmt(best_cfg.lam), best_cfg.out_layers, best_cfg.rep_dim))
+             nio._fmt(best_cfg.lam), best_cfg.out_layers, best_cfg.rep_dim, best_cfg.epochs))
     _print_results(Path(args.data).name, args.seed, best_report)
     if args.out:
         try:

@@ -24,9 +24,10 @@ class Network:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Network":
-        """Build from any iterable of (i, j) pairs; symmetrizes, dedupes,
-        and rejects self-loops and out-of-range indices."""
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        """Build from an (E, 2) array or a sequence of (i, j) pairs;
+        symmetrizes, dedupes, and rejects self-loops and out-of-range
+        indices."""
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("edge index out of range")

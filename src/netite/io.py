@@ -8,6 +8,28 @@ Dataset directory layout:
                 (ycf, mu0, mu1, prob_t) are omitted
   meta.json     configuration echo plus format version
 
+Every file is written and parsed as whole arrays, never one Python line
+at a time. write_dataset formats each distinct feature value once and
+assembles the triplet lines from precomputed row, column and value
+tokens, WRITE_CHUNK lines at a time so transient memory stays bounded;
+edges and nodes go out in one writelines each. read_dataset parses each
+file with np.loadtxt, whose float conversion is correctly rounded like
+float(), and scatters the triplets into x with one indexed assignment.
+
+read_dataset checks meta.json first: it must be a JSON object whose
+format_version is the integer FORMAT_VERSION, else DatasetVersionError.
+It raises ValueError, prefixed with the file's name, when
+  features.mtx  the header is not three non-negative integers, the
+                triplet count (trailing lines included) differs from the
+                header's nnz, a row or column index is out of range, or
+                a cell is listed twice or holds a zero;
+  edges.tsv     a line is not two integers, an index is out of range, or
+                an edge is a self-loop;
+  nodes.tsv     the header is neither column list, a row has the wrong
+                number of fields, the row count differs from n, the ids
+                are not 0..n-1 each exactly once, or t is not 0 or 1.
+Blank lines are skipped; nothing else is.
+
 Checkpoints are decimal text: a fixed header (format version,
 architecture dims, seed) followed by the flattened parameter vector, one
 shortest-round-trip value per line, in the order documented on
@@ -19,6 +41,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +56,17 @@ FORMAT_VERSION = 1
 NODE_COLUMNS_FULL = ["id", "t", "yf", "ycf", "mu0", "mu1", "prob_t"]
 NODE_COLUMNS_OBS = ["id", "t", "yf"]
 
+WRITE_CHUNK = 1 << 16  # feature lines joined per write
+
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
 
 class CheckpointError(ValueError):
     """Corrupt checkpoint or architecture mismatch."""
+
+
+class DatasetVersionError(ValueError):
+    """meta.json is unparsable or does not declare FORMAT_VERSION."""
 
 
 def _fmt(v: float) -> str:
@@ -47,23 +79,16 @@ def write_dataset(dirpath, ds: NetworkedDataset, cfg: SimConfig | None = None,
     dirpath.mkdir(parents=True, exist_ok=True)
 
     with open(dirpath / "edges.tsv", "w") as f:
-        for i, j in ds.net.edges:
-            f.write(f"{i}\t{j}\n")
+        f.writelines(f"{i}\t{j}\n" for i, j in ds.net.edges.tolist())
 
-    rows, cols = np.nonzero(ds.x)
-    with open(dirpath / "features.mtx", "w") as f:
-        f.write(f"{ds.x.shape[0]} {ds.x.shape[1]} {rows.size}\n")
-        for i, j in zip(rows, cols):
-            f.write(f"{i} {j} {_fmt(ds.x[i, j])}\n")
+    _write_features(dirpath / "features.mtx", ds.x)
 
-    cols_out = NODE_COLUMNS_OBS if observational_only else NODE_COLUMNS_FULL
+    names = NODE_COLUMNS_OBS if observational_only else NODE_COLUMNS_FULL
+    columns = [range(ds.n), np.asarray(ds.t, dtype=np.int64).tolist()]
+    columns += [np.asarray(getattr(ds, name), dtype=np.float64).tolist() for name in names[2:]]
     with open(dirpath / "nodes.tsv", "w") as f:
-        f.write("\t".join(cols_out) + "\n")
-        for i in range(ds.n):
-            row = [str(i), str(int(ds.t[i])), _fmt(ds.yf[i])]
-            if not observational_only:
-                row += [_fmt(ds.ycf[i]), _fmt(ds.mu0[i]), _fmt(ds.mu1[i]), _fmt(ds.prob_t[i])]
-            f.write("\t".join(row) + "\n")
+        f.write("\t".join(names) + "\n")
+        f.writelines("\t".join(map(repr, row)) + "\n" for row in zip(*columns))
 
     meta = {
         "format_version": FORMAT_VERSION,
@@ -75,46 +100,101 @@ def write_dataset(dirpath, ds: NetworkedDataset, cfg: SimConfig | None = None,
         f.write("\n")
 
 
+def _write_features(path, x: np.ndarray) -> None:
+    rows, cols = np.nonzero(x)
+    values, which = np.unique(x[rows, cols], return_inverse=True)
+    row_tok = np.array([f"{i} " for i in range(x.shape[0])], dtype=object)
+    col_tok = np.array([f"{j} " for j in range(x.shape[1])], dtype=object)
+    val_tok = np.array([f"{v!r}\n" for v in values.tolist()], dtype=object)
+    with open(path, "w") as f:
+        f.write(f"{x.shape[0]} {x.shape[1]} {rows.size}\n")
+        for start in range(0, rows.size, WRITE_CHUNK):
+            part = slice(start, start + WRITE_CHUNK)
+            lines = np.empty((rows[part].size, 3), dtype=object)
+            lines[:, 0] = row_tok[rows[part]]
+            lines[:, 1] = col_tok[cols[part]]
+            lines[:, 2] = val_tok[which[part]]
+            f.write("".join(lines.ravel().tolist()))
+
+
+@contextmanager
+def _blame(path: Path):
+    """Prefix any ValueError raised inside with the file's name."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+
+
+def _load_table(path: Path, dtype, skiprows: int = 0, ndmin: int = 1) -> np.ndarray:
+    """The whole whitespace-separated table in one np.loadtxt call; a file
+    with no rows gives an empty array without loadtxt's no-data warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, dtype=dtype, comments=None, skiprows=skiprows, ndmin=ndmin)
+
+
+def _check_format_version(path: Path) -> None:
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DatasetVersionError(f"unparsable {path}: {exc}") from None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DatasetVersionError(
+            f"{path}: format_version is {version!r}, expected {FORMAT_VERSION}")
+
+
 def read_dataset(dirpath) -> NetworkedDataset:
     dirpath = Path(dirpath)
     for name in ("edges.tsv", "features.mtx", "nodes.tsv", "meta.json"):
         if not (dirpath / name).is_file():
             raise FileNotFoundError(f"missing dataset file: {dirpath / name}")
+    _check_format_version(dirpath / "meta.json")
 
-    with open(dirpath / "features.mtx") as f:
-        n, m, nnz = (int(v) for v in f.readline().split())
+    path = dirpath / "features.mtx"
+    with _blame(path):
+        with open(path) as f:
+            n, m, nnz = (int(v) for v in f.readline().split())
+        if min(n, m, nnz) < 0:
+            raise ValueError(f"negative size in header {n} {m} {nnz}")
+        trip = _load_table(path, _TRIPLET, skiprows=1)
+        if trip.size != nnz:
+            raise ValueError(f"{trip.size} triplets, but the header says nnz={nnz}")
+        i, j = trip["i"], trip["j"]
+        if np.any((i < 0) | (i >= n) | (j < 0) | (j >= m)):
+            raise ValueError(f"triplet index outside the {n}x{m} header shape")
         x = np.zeros((n, m))
-        for _ in range(nnz):
-            i, j, v = f.readline().split()
-            x[int(i), int(j)] = float(v)
+        x[i, j] = trip["v"]
+        if np.count_nonzero(x) != nnz:
+            raise ValueError("a cell is listed twice or holds a zero")
 
-    pairs = []
-    with open(dirpath / "edges.tsv") as f:
-        for line in f:
-            if line.strip():
-                i, j = line.split()
-                pairs.append((int(i), int(j)))
-    net = Network.from_pairs(n, pairs)
+    path = dirpath / "edges.tsv"
+    with _blame(path):
+        pairs = _load_table(path, np.int64, ndmin=2)
+        if pairs.size and pairs.shape[1] != 2:
+            raise ValueError(f"lines hold {pairs.shape[1]} fields, expected 2")
+        net = Network.from_pairs(n, pairs)
 
-    with open(dirpath / "nodes.tsv") as f:
-        header = f.readline().split()
-        full = header == NODE_COLUMNS_FULL
-        if not full and header != NODE_COLUMNS_OBS:
-            raise ValueError(f"unexpected nodes.tsv header: {header}")
-        t = np.zeros(n, dtype=np.int64)
-        yf = np.zeros(n)
-        ycf = np.zeros(n) if full else None
-        mu0 = np.zeros(n) if full else None
-        mu1 = np.zeros(n) if full else None
-        prob_t = np.zeros(n) if full else None
-        for line in f:
-            vals = line.split()
-            i = int(vals[0])
-            t[i] = int(vals[1])
-            yf[i] = float(vals[2])
-            if full:
-                ycf[i], mu0[i], mu1[i], prob_t[i] = (float(v) for v in vals[3:7])
-    return NetworkedDataset(x=x, net=net, t=t, yf=yf, ycf=ycf, mu0=mu0, mu1=mu1, prob_t=prob_t)
+    path = dirpath / "nodes.tsv"
+    with _blame(path):
+        with open(path) as f:
+            header = f.readline().split()
+        if header != NODE_COLUMNS_FULL and header != NODE_COLUMNS_OBS:
+            raise ValueError(f"unexpected header: {header}")
+        dtype = np.dtype([(c, np.int64) for c in header[:2]] + [(c, np.float64) for c in header[2:]])
+        rows = _load_table(path, dtype, skiprows=1)
+        if rows.size != n:
+            raise ValueError(f"{rows.size} rows for {n} nodes")
+        ids = rows["id"]
+        if np.any((ids < 0) | (ids >= n)) or np.any(np.bincount(ids, minlength=n) != 1):
+            raise ValueError(f"ids are not 0..{n - 1} each exactly once")
+        if np.any((rows["t"] != 0) & (rows["t"] != 1)):
+            raise ValueError("t must be 0 or 1")
+        by_id = np.empty_like(rows)
+        by_id[ids] = rows
+    columns = {c: by_id[c].copy() if c in header else None for c in NODE_COLUMNS_FULL[1:]}
+    return NetworkedDataset(x=x, net=net, **columns)
 
 
 def save_checkpoint(path, params: ModelParams, seed: int) -> None:

@@ -198,6 +198,61 @@ def test_grid_unknown_axis(tmp_path, capsys):
     assert rc == 2
 
 
+def test_expand_grid_file_epochs_is_an_axis():
+    cells = expand_grid_file({"epochs": [5, 500], "lr": [1e-2, 1e-3]}, seed=0)
+    assert [(c.epochs, c.learning_rate) for c in cells] == [(5, 1e-2), (5, 1e-3),
+                                                            (500, 1e-2), (500, 1e-3)]
+    assert [c.epochs for c in expand_grid_file({"epochs": 7}, seed=0)] == [7]
+    assert [c.epochs for c in expand_grid_file({"lr": [1e-2]}, seed=0)] == [50]
+
+
+@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}])
+def test_grid_bad_axis_value_exits_2(tmp_path, capsys, axes):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(axes))
+    rc = main(["grid", "--data", str(out / "rep_0"), "--grid", str(grid)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def _command_args(command, data, tmp_path):
+    if command == "grid":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"epochs": [1], "dim": [4]}))
+        return ["grid", "--data", data, "--grid", str(grid)]
+    if command == "eval":
+        return ["eval", "--data", data, "--checkpoint", str(tmp_path / "model.ckpt")]
+    return ["train", "--data", data, *TRAIN_FAST]
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+@pytest.mark.parametrize("meta", ['{"format_version": 99}', '{"config": null}', "{not json"])
+def test_dataset_format_version_mismatch_exits_2(tmp_path, capsys, command, meta):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    (out / "rep_0" / "meta.json").write_text(meta)
+    rc = main(_command_args(command, str(out / "rep_0"), tmp_path))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "meta.json" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+def test_malformed_dataset_exits_3(tmp_path, capsys, command):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    nodes = out / "rep_0" / "nodes.tsv"
+    lines = nodes.read_text().splitlines()
+    lines[2] = "0" + lines[2][lines[2].index("\t"):]  # node 1's row claims id 0
+    nodes.write_text("\n".join(lines) + "\n")
+    rc = main(_command_args(command, str(out / "rep_0"), tmp_path))
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "nodes.tsv: ids are not" in captured.err
+
+
 def test_expand_grid_file_reproduces_reference_grid():
     axes = {"lr": [1e-1, 1e-2, 1e-3, 1e-4],
             "out_layers": [1, 2, 3],

@@ -1,11 +1,18 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netite import io as nio
+from netite.graph import Network
 from netite.linalg import make_rng
 from netite.model import init_params
 from netite.runner import SplitMetrics, TrainConfig
-from netite.simgen import SimConfig, simulate
+from netite.simgen import NetworkedDataset, SimConfig, simulate
 
 
 def small_dataset(seed=0):
@@ -66,6 +73,134 @@ def test_read_bad_header_raises(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(ValueError):
         nio.read_dataset(tmp_path / "d")
+
+
+def reference_files(ds, observational_only):
+    """The dataset files, formatted one line at a time: pins the byte format."""
+    rows, cols = np.nonzero(ds.x)
+    names = nio.NODE_COLUMNS_OBS if observational_only else nio.NODE_COLUMNS_FULL
+    nodes = ["\t".join(names) + "\n"]
+    for i in range(ds.n):
+        fields = [str(i), str(int(ds.t[i]))] + [repr(float(getattr(ds, c)[i])) for c in names[2:]]
+        nodes.append("\t".join(fields) + "\n")
+    return {
+        "edges.tsv": "".join(f"{i}\t{j}\n" for i, j in ds.net.edges),
+        "features.mtx": f"{ds.x.shape[0]} {ds.x.shape[1]} {rows.size}\n"
+                        + "".join(f"{i} {j} {float(ds.x[i, j])!r}\n" for i, j in zip(rows, cols)),
+        "nodes.tsv": "".join(nodes),
+    }
+
+
+# Subnormals, huge magnitudes, negatives and values that need all 17
+# significant digits; -0.0 is left out of x because the sparse format
+# stores no zeros.
+AWKWARD = st.sampled_from([5e-324, -2.2250738585072009e-308, 1e300, -1e300, 0.1 + 0.2,
+                           1 / 3, -123456.78901234567, 2.0 ** 52 + 1, 1.0])
+FLOATS = AWKWARD | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cell = st.just(0.0) | FLOATS.filter(lambda v: v != 0.0)
+    x = np.array(draw(st.lists(cell, min_size=n * m, max_size=n * m))).reshape(n, m)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    t = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    cols = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) for _ in range(5)]
+    ds = NetworkedDataset(x, Network.from_pairs(n, edges), t, *cols)
+    return ds, draw(st.booleans())
+
+
+def _empty_dataset(observational_only):
+    """No edges and no feature nonzeros."""
+    cols = [np.linspace(-1.0, 1.0, 3) for _ in range(5)]
+    ds = NetworkedDataset(np.zeros((3, 2)), Network.from_pairs(3, []), np.array([0, 1, 0]), *cols)
+    return ds, observational_only
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets())
+@example(_empty_dataset(False))
+@example(_empty_dataset(True))
+def test_dataset_roundtrip_property(case):
+    ds, observational_only = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = Path(tmp) / "d"
+        nio.write_dataset(d, ds, observational_only=observational_only)
+        for name, text in reference_files(ds, observational_only).items():
+            assert (d / name).read_bytes() == text.encode(), name
+        back = nio.read_dataset(d)
+    assert not caught, [str(w.message) for w in caught]
+    assert back.x.dtype == np.float64 and back.x.tobytes() == ds.x.tobytes()
+    assert back.net.edges.tobytes() == ds.net.edges.tobytes()
+    assert back.t.dtype == np.int64 and back.t.tobytes() == ds.t.tobytes()
+    assert back.yf.tobytes() == ds.yf.tobytes()
+    for name in ("ycf", "mu0", "mu1", "prob_t"):
+        if observational_only:
+            assert getattr(back, name) is None
+        else:
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+
+
+def test_feature_lines_span_write_chunks(tmp_path, monkeypatch):
+    ds = small_dataset()
+    monkeypatch.setattr(nio, "WRITE_CHUNK", 7)
+    nio.write_dataset(tmp_path / "d", ds)
+    expected = reference_files(ds, False)["features.mtx"]
+    assert expected.count("\n") > 7 * 10
+    assert (tmp_path / "d" / "features.mtx").read_text() == expected
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(row, col, value):
+    def edit(lines):
+        fields = lines[row].split("\t" if "\t" in lines[row] else " ")
+        fields[col] = value
+        lines[row] = ("\t" if "\t" in lines[row] else " ").join(fields)
+    return edit
+
+
+MALFORMED = {
+    "duplicated id": ("nodes.tsv", _set_field(2, 0, "0")),
+    "missing row": ("nodes.tsv", lambda lines: lines.pop()),
+    "extra row": ("nodes.tsv", lambda lines: lines.append(lines[-1].replace("39\t", "40\t", 1))),
+    "t is 2": ("nodes.tsv", _set_field(1, 1, "2")),
+    "t is not an integer": ("nodes.tsv", _set_field(1, 1, "0.5")),
+    "fewer triplets than nnz": ("features.mtx", lambda lines: lines.pop()),
+    "trailing triplet": ("features.mtx", lambda lines: lines.append("0 0 1.0")),
+    "row index too large": ("features.mtx", _set_field(1, 0, "40")),
+    "negative column index": ("features.mtx", _set_field(1, 1, "-1")),
+    "repeated cell": ("features.mtx", lambda lines: lines.__setitem__(2, lines[1])),
+    "zero value": ("features.mtx", _set_field(1, 2, "0.0")),
+    "non-integer edge index": ("edges.tsv", _set_field(0, 1, "1.5")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_read_rejects_malformed_files(tmp_path, fault):
+    name, edit = MALFORMED[fault]
+    nio.write_dataset(tmp_path / "d", small_dataset())
+    _edit_lines(tmp_path / "d" / name, edit)
+    with pytest.raises(ValueError, match=f"^{name}: ") as info:
+        nio.read_dataset(tmp_path / "d")
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("meta", ['{"format_version": 99}', '{"format_version": "1"}',
+                                  '{"observational_only": false}', "[1]", "{not json"])
+def test_read_rejects_bad_format_version(tmp_path, meta):
+    nio.write_dataset(tmp_path / "d", small_dataset())
+    (tmp_path / "d" / "meta.json").write_text(meta)
+    with pytest.raises(nio.DatasetVersionError) as info:
+        nio.read_dataset(tmp_path / "d")
+    assert "\n" not in str(info.value)
 
 
 def sample_params(seed=0):
