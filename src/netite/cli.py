@@ -73,7 +73,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_sim_config(args.config, args.seed)
     out = Path(args.out)
     for rep in range(args.reps):
-        ds = simulate(cfg, stream=rep)
+        try:
+            ds = simulate(cfg, stream=rep)
+        except NumericError as exc:
+            raise CliError(EXIT_BAD_CONFIG, f"bad config: {exc}")
         try:
             nio.write_dataset(out / f"rep_{rep}", ds, cfg, observational_only=args.observational_only)
         except OSError as exc:
@@ -101,11 +104,14 @@ def cmd_train(args) -> int:
     if ds.ycf is None:
         raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only; ground-truth "
                        "outcomes are required to report ITE metrics")
-    cfg = TrainConfig(
-        alpha=args.alpha, lam=getattr(args, "lambda"), learning_rate=args.lr,
-        epochs=args.epochs, gcn_layers=args.gcn_layers, out_layers=args.out_layers,
-        rep_dim=args.dim, hidden_units=args.dim, seed=args.seed,
-    )
+    try:
+        cfg = TrainConfig(
+            alpha=args.alpha, lam=getattr(args, "lambda"), learning_rate=args.lr,
+            epochs=args.epochs, gcn_layers=args.gcn_layers, out_layers=args.out_layers,
+            rep_dim=args.dim, hidden_units=args.dim, seed=args.seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_BAD_CONFIG, f"bad training config: {exc}")
     split = _make_split_checked(ds, cfg.seed)
     try:
         runner_fn = ablation_no_network if args.ablation_identity else train
@@ -114,6 +120,9 @@ def cmd_train(args) -> int:
         raise CliError(EXIT_DEGENERATE_SPLIT, str(exc))
     except (NonFiniteLossError, NumericError) as exc:
         raise CliError(EXIT_NONFINITE_LOSS, str(exc))
+    if report.sinkhorn_unconverged:
+        print(f"warning: Sinkhorn stopped at max_iters={cfg.sinkhorn.max_iters} unconverged in "
+              f"{report.sinkhorn_unconverged} of {cfg.epochs} epochs", file=sys.stderr)
     if args.checkpoint:
         try:
             nio.save_checkpoint(args.checkpoint, params, cfg.seed)

@@ -8,6 +8,8 @@ uses the complete graph; only the loss terms are restricted to a split.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +48,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("alpha and lam must be >= 0")
+        if not (isinstance(self.learning_rate, numbers.Real) and math.isfinite(self.learning_rate)
+                and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         if min(self.epochs + 1, self.gcn_layers, self.out_layers, self.rep_dim, self.hidden_units) < 1:
             raise ValueError("counts must be >= 1")
 
@@ -91,6 +96,7 @@ class MetricsReport:
     l2_traj: list = field(default_factory=list)
     val_mse_traj: list = field(default_factory=list)
     best_epoch: int = 0
+    sinkhorn_unconverged: int = 0  # epochs whose W1 run stopped at max_iters unconverged
 
 
 def metrics(tau_hat: np.ndarray, tau: np.ndarray):
@@ -111,9 +117,10 @@ def _check_train_groups(t: np.ndarray, train_idx: np.ndarray):
 
 
 def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_idx, cfg: TrainConfig):
-    """Loss, gradients, additive parts, and the factual predictions for
-    all rows (for validation tracking). Reads only x, t, yf from the
-    dataset; counterfactual fields are never inputs."""
+    """Loss, gradients, additive parts, the factual predictions for all
+    rows (for validation tracking), and the W1Result (None when W1 was
+    not computed). Reads only x, t, yf from the dataset; counterfactual
+    fields are never inputs."""
     t = dataset.t
     _check_train_groups(t, train_idx)
     yhat, trace = forward(params, ahat, dataset.x, t)
@@ -127,6 +134,7 @@ def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_
 
     ipm = 0.0
     grad_h_extra = None
+    w1 = None
     if cfg.alpha > 0 or cfg.track_ipm:
         tr_treated = train_idx[t[train_idx] == 1]
         tr_control = train_idx[t[train_idx] == 0]
@@ -145,14 +153,14 @@ def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_
 
     loss = mse + cfg.alpha * ipm + cfg.lam * l2
     parts = {"mse": mse, "ipm": ipm, "l2": l2}
-    return loss, grads, parts, yhat
+    return loss, grads, parts, yhat, w1
 
 
 def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None):
     """Full objective and its exact gradient; see module docstring."""
     if ahat is None:
         ahat = normalize_adjacency(dataset.net)
-    loss, grads, parts, _ = _objective_impl(params, ahat, dataset, train_idx, cfg)
+    loss, grads, parts, _, _ = _objective_impl(params, ahat, dataset, train_idx, cfg)
     return loss, grads, parts
 
 
@@ -188,7 +196,7 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_gr
     best_epoch = -1
     for epoch in range(cfg.epochs):
         params = params.unflatten_from(theta)
-        loss, grads, parts, yhat = _objective_impl(params, ahat, dataset, split.train, cfg)
+        loss, grads, parts, yhat, w1 = _objective_impl(params, ahat, dataset, split.train, cfg)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"non-finite loss at epoch {epoch}: parts={parts}")
         val_mse = float(np.mean((yhat[split.valid] - dataset.yf[split.valid]) ** 2))
@@ -197,6 +205,8 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_gr
         report.ipm_traj.append(parts["ipm"])
         report.l2_traj.append(parts["l2"])
         report.val_mse_traj.append(val_mse)
+        if w1 is not None and not w1.converged:
+            report.sinkhorn_unconverged += 1
         if val_mse < best_val:
             best_val = val_mse
             best_theta = theta.copy()

@@ -6,6 +6,9 @@ with topic homophily, treatment probability depends on the instance's
 and its neighbors' topic similarity to two centroids, and outcomes are
 linear in the same quantities plus unit Gaussian noise. The topics
 themselves are excluded from training inputs.
+
+The network, the only O(n^2) step, is sampled row by row from one
+n x n float64 weight buffer (see gen_network).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import Network, neighbor_sum
-from .linalg import make_rng
+from .linalg import NumericError, make_rng
 
 
 @dataclass
@@ -41,6 +44,10 @@ class SimConfig:
             raise ValueError("kappa1 and kappa2 must be >= 0")
         if self.scale_c <= 0:
             raise ValueError("outcome scale must be > 0")
+        if not np.isfinite(self.homophily):
+            raise ValueError("homophily must be finite")
+        if not (np.isfinite(self.target_degree) and self.target_degree >= 0):
+            raise ValueError("target_degree must be finite and >= 0")
 
 
 @dataclass
@@ -89,17 +96,31 @@ def gen_features(r: np.ndarray, topic_word: np.ndarray, cfg: SimConfig, rng: np.
 def gen_network(r: np.ndarray, cfg: SimConfig, rng: np.random.Generator) -> Network:
     """Random graph with edge probability proportional to
     exp(homophily * r_i . r_j), rescaled to the target mean degree.
-    homophily=0 reduces to Erdos-Renyi."""
+    homophily=0 reduces to Erdos-Renyi.
+
+    The weights are computed in place in one n x n buffer, and the upper
+    triangle is sampled one row at a time in row-major order. Successive
+    rng.random calls continue one stream, so the graph and the rng state
+    after the call equal those of one draw per pair over the whole
+    triangle. Raises NumericError when the weights overflow, which would
+    leave no finite edge probability."""
     n = r.shape[0]
-    w = np.exp(cfg.homophily * (r @ r.T))
-    np.fill_diagonal(w, 0.0)
-    total = w.sum()
+    w = r @ r.T
+    w *= cfg.homophily
+    with np.errstate(over="ignore"):
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)
+        total = w.sum()
+    if not np.isfinite(total):
+        raise NumericError(f"edge weights overflow: exp(homophily * r_i . r_j) sums to {total}; "
+                           f"lower homophily ({cfg.homophily})")
     scale = cfg.target_degree * n / total if total > 0 else 0.0
-    p = np.minimum(scale * w, 1.0)
-    iu, ju = np.triu_indices(n, k=1)
-    hit = rng.random(iu.shape[0]) < p[iu, ju]
-    pairs = np.stack([iu[hit], ju[hit]], axis=1)
-    return Network.from_pairs(n, pairs)
+    cols = []
+    for i in range(n):  # row n-1 draws nothing; it keeps the list non-empty at n=1
+        p = np.minimum(scale * w[i, i + 1:], 1.0)
+        cols.append(i + 1 + np.flatnonzero(rng.random(n - 1 - i) < p))
+    rows = np.repeat(np.arange(n), [c.size for c in cols])
+    return Network.from_pairs(n, np.stack([rows, np.concatenate(cols)], axis=1))
 
 
 def pick_centroids(r: np.ndarray, rng: np.random.Generator):

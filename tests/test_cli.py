@@ -73,6 +73,20 @@ def test_simulate_no_confounding_balanced(tmp_path, capsys):
     assert abs(treated / 400 - 0.5) < 0.1
 
 
+@pytest.mark.parametrize("extra", [
+    {"homophily": float("nan")},  # used to give 0 edges silently
+    {"homophily": 800.0},  # exp overflows: the weights sum to inf
+    {"target_degree": -3.0},
+], ids=["homophily-nan", "homophily-overflow", "negative-degree"])
+def test_simulate_edgeless_config_exits_2(tmp_path, capsys, extra):
+    cfg = write_sim_config(tmp_path, **extra)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--reps", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
 TRAIN_FAST = ["--epochs", "10", "--gcn-layers", "1", "--out-layers", "1",
               "--dim", "8", "--alpha", "1e-3", "--lr", "1e-2"]
 
@@ -136,6 +150,34 @@ def test_train_non_finite_gradient_exits_5(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "non-finite gradient" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "-5"], ["--lr", "-1"], ["--lr", "nan"]],
+                         ids=["negative-epochs", "negative-lr", "nan-lr"])
+def test_train_bad_config_exits_2(tmp_path, capsys, flags):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST, *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_train_warns_on_unconverged_sinkhorn(tmp_path, capsys, monkeypatch):
+    import netite.runner
+
+    out = simulate_dir(tmp_path, capsys=capsys)
+    args = ["train", "--data", str(out / "rep_0"), *TRAIN_FAST]
+    assert main(args) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    real = netite.runner.wasserstein1
+    monkeypatch.setattr(netite.runner, "wasserstein1",
+                        lambda *a, **kw: real(*a, **kw)._replace(converged=False))
+    assert main(args) == 0
+    warned = capsys.readouterr()
+    assert warned.out == clean.out
+    assert warned.err.count("\n") == 1
+    assert warned.err.startswith("warning:") and "10 of 10 epochs" in warned.err
 
 
 def test_eval_reproduces_training_metrics(tmp_path, capsys):
@@ -206,7 +248,7 @@ def test_expand_grid_file_epochs_is_an_axis():
     assert [c.epochs for c in expand_grid_file({"lr": [1e-2]}, seed=0)] == [50]
 
 
-@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}])
+@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}, {"lr": ["fast"]}, {"lr": [-1.0]}])
 def test_grid_bad_axis_value_exits_2(tmp_path, capsys, axes):
     out = simulate_dir(tmp_path, capsys=capsys)
     grid = tmp_path / "grid.json"

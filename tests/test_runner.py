@@ -195,6 +195,23 @@ def test_train_loss_decomposition_every_epoch():
         assert abs(loss - (mse + cfg.alpha * ipm + cfg.lam * l2)) < 1e-9
 
 
+def test_train_counts_unconverged_sinkhorn_epochs():
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    capped = tiny_cfg(epochs=4, sinkhorn=SinkhornConfig(max_iters=1))
+    assert train(ds, split, capped)[1].sinkhorn_unconverged == 4
+    converging = tiny_cfg(epochs=4, sinkhorn=SinkhornConfig())
+    assert train(ds, split, converging)[1].sinkhorn_unconverged == 0
+    unbalanced = tiny_cfg(epochs=4, alpha=0.0, track_ipm=False, sinkhorn=SinkhornConfig(max_iters=1))
+    assert train(ds, split, unbalanced)[1].sinkhorn_unconverged == 0  # W1 never runs
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-2, np.nan, np.inf, "fast", None])
+def test_train_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ValueError):
+        tiny_cfg(learning_rate=lr)
+
+
 def test_ablation_identity_equals_dense_forward():
     from netite.graph import identity_adjacency
     from netite.model import forward
@@ -272,7 +289,7 @@ def test_grid_failing_cell_recorded_and_skipped():
     ds = tiny_dataset()
     split = make_split(ds.n, ds.t, 0)
     good = tiny_cfg(epochs=5)
-    bad = tiny_cfg(epochs=5, learning_rate=np.inf)  # diverges to non-finite loss
+    bad = tiny_cfg(epochs=5, learning_rate=1e300)  # diverges to non-finite loss
     best_cfg, _, _, cells = grid_search(ds, split, [bad, good])
     assert best_cfg == good
     statuses = [c.error for c in cells]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netite.graph import Network
-from netite.linalg import make_rng
+from netite.linalg import NumericError, make_rng
 from netite.simgen import (
     NetworkedDataset,
     SimConfig,
@@ -223,3 +223,72 @@ def test_config_validation():
         SimConfig(kappa1=-1.0)
     with pytest.raises(ValueError):
         SimConfig(scale_c=0.0)
+
+
+def _triangle_reference(r, cfg, rng):
+    """The whole-triangle formula gen_network replaced: every n^2 array
+    at once, one uniform draw per upper-triangle pair in row-major order."""
+    n = r.shape[0]
+    w = np.exp(cfg.homophily * (r @ r.T))
+    np.fill_diagonal(w, 0.0)
+    total = w.sum()
+    scale = cfg.target_degree * n / total if total > 0 else 0.0
+    p = np.minimum(scale * w, 1.0)
+    iu, ju = np.triu_indices(n, k=1)
+    hit = rng.random(iu.shape[0]) < p[iu, ju]
+    return Network.from_pairs(n, np.stack([iu[hit], ju[hit]], axis=1))
+
+
+@pytest.mark.parametrize("cfg", [
+    *(small_cfg(n=600, seed=s) for s in range(4)),
+    small_cfg(n=600, homophily=20.0, target_degree=40.0, seed=4),
+    small_cfg(n=600, homophily=0.0, seed=5),
+    small_cfg(n=1, seed=6),
+    small_cfg(n=2, target_degree=1.0, seed=7),
+], ids=lambda c: f"n{c.n}-h{c.homophily:g}-s{c.seed}")
+def test_gen_network_matches_triangle_reference(cfg):
+    r, _ = gen_topics(cfg, make_rng(cfg.seed))
+    rng_new, rng_ref = make_rng(cfg.seed, stream=3), make_rng(cfg.seed, stream=3)
+    got = gen_network(r, cfg, rng_new).edges
+    want = _triangle_reference(r, cfg, rng_ref).edges
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng_new.random() == rng_ref.random()
+
+
+def test_gen_network_peak_memory():
+    """One n x n float64 buffer: the peak stays under 1.5 n^2 doubles
+    (the whole-triangle formula needed about 4). Measured with
+    tracemalloc, which numpy reports its buffers to and which counts only
+    this call's allocations; ru_maxrss is process-wide and never falls,
+    so it would depend on the tests run before this one and on the host."""
+    import tracemalloc
+
+    cfg = small_cfg(n=1500)
+    r, _ = gen_topics(cfg, make_rng(0))
+    rng = make_rng(1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        gen_network(r, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cfg.n ** 2 * 8
+
+
+def test_gen_network_rejects_overflowing_weights():
+    cfg = small_cfg(n=2, k=2, homophily=800.0)
+    r = np.array([[1.0, 0.0], [1.0, 0.0]])  # exp(800 * 1) overflows
+    with pytest.raises(NumericError):
+        gen_network(r, cfg, make_rng(0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("homophily", np.nan), ("homophily", np.inf), ("homophily", -np.inf),
+    ("target_degree", -3.0), ("target_degree", np.nan), ("target_degree", np.inf),
+])
+def test_config_rejects_edgeless_settings(field, value):
+    with pytest.raises(ValueError):
+        SimConfig(**{field: value})
