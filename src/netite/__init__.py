@@ -9,7 +9,7 @@ with topic-driven hidden confounding and an evaluation/grid-search
 harness with a command line (`netite`).
 """
 
-from .balance import SinkhornConfig, exact_w1_oracle, wasserstein1
+from .balance import SinkhornConfig, exact_w1_oracle, w1_distance, wasserstein1
 from .graph import Network, neighbor_sum, normalize_adjacency
 from .io import load_checkpoint, read_dataset, save_checkpoint, write_dataset
 from .model import ModelParams, backward, encode, forward, init_params, predict
@@ -56,6 +56,7 @@ __all__ = [
     "save_checkpoint",
     "simulate",
     "train",
+    "w1_distance",
     "wasserstein1",
     "write_dataset",
 ]

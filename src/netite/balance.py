@@ -20,6 +20,14 @@ leaves the normal range, the same iteration runs in the log domain on
 the potentials phi = log(u/a), psi = log(v/b) instead, which holds
 at any eps but is several times slower.
 
+`wasserstein1` returns the value and both gradients. `w1_distance`
+returns the same value from the same iterations, but stops once the plan
+is built: it runs no backward and its `W1Result` carries `None` for
+both gradients. It is for callers that read only the value, such as
+the finite-difference probes of `gradcheck`. Because it forms no
+gradient, it never takes the fallback on a non-finite scaling-domain
+gradient; that is the one case where the two can differ.
+
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
 """
@@ -56,8 +64,8 @@ class SinkhornConfig:
 
 class W1Result(NamedTuple):
     dist: float
-    grad_treated: np.ndarray
-    grad_control: np.ndarray
+    grad_treated: np.ndarray | None  # None from w1_distance
+    grad_control: np.ndarray | None
     converged: bool
     iterations: int
 
@@ -95,10 +103,10 @@ def _within(x: np.ndarray, lo: float, hi: float) -> bool:
     return bool(lo <= x.min() and x.max() <= hi)
 
 
-def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig):
-    """Plan, d<P, B>/dB, convergence flag and iteration count from
-    Sinkhorn on the scalings u = a e^phi, v = b e^psi, or None when a
-    value leaves the normal float64 range."""
+def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
+    """Plan, d<P, B>/dB (None unless grad), convergence flag and
+    iteration count from Sinkhorn on the scalings u = a e^phi,
+    v = b e^psi, or None when a value leaves the normal float64 range."""
     n1, n0 = b_mat.shape
     a, b = 1.0 / n1, 1.0 / n0
     k = np.exp(-b_mat)
@@ -127,6 +135,8 @@ def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig):
         return None
 
     p = u[:, None] * k * v[None, :]
+    if not grad:
+        return p, None, converged, iters
     pb = p * b_mat
     g_phi = pb.sum(axis=1)
     g_psi = pb.sum(axis=0)
@@ -149,7 +159,7 @@ def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig):
     return p, g_b, converged, iters
 
 
-def _sinkhorn_log(b_mat: np.ndarray, cfg: SinkhornConfig):
+def _sinkhorn_log(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
     """The same iteration and backward as `_sinkhorn_scaling`, on the
     potentials phi, psi, so it holds at any C/eps."""
     n1, n0 = b_mat.shape
@@ -175,6 +185,8 @@ def _sinkhorn_log(b_mat: np.ndarray, cfg: SinkhornConfig):
 
     phi, psi = phi_hist[-1], psi_hist[-1]
     p = np.exp(la[:, None] + lb[None, :] + phi[:, None] + psi[None, :] - b_mat)
+    if not grad:
+        return p, None, converged, iters
 
     g_phi = (p * b_mat).sum(axis=1)
     g_psi = (p * b_mat).sum(axis=0)
@@ -194,6 +206,16 @@ def _sinkhorn_log(b_mat: np.ndarray, cfg: SinkhornConfig):
 def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) -> W1Result:
     """Approximate W1 between the uniform empirical measures on the two
     row sets, and the gradient of that value with respect to each row."""
+    return _w1(treated, control, cfg, grad=True)
+
+
+def w1_distance(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) -> W1Result:
+    """The `wasserstein1` value, convergence flag and iteration count,
+    without the backward; both gradients are None."""
+    return _w1(treated, control, cfg, grad=False)
+
+
+def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
     treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
     control = np.atleast_2d(np.asarray(control, dtype=np.float64))
     n1, n0 = treated.shape[0], control.shape[0]
@@ -210,11 +232,13 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
     b_mat = c / eps
     out = None
     if b_mat.max() <= _MAX_SCALING_EXPONENT:
-        out = _sinkhorn_scaling(b_mat, cfg)
+        out = _sinkhorn_scaling(b_mat, cfg, grad)
     if out is None:
-        out = _sinkhorn_log(b_mat, cfg)
+        out = _sinkhorn_log(b_mat, cfg, grad)
     p, g_b, converged, iters = out
     dist = float(np.sum(p * c))
+    if not grad:
+        return W1Result(dist, None, None, converged, iters)
 
     # dist(C, eps) = eps * V(C / eps) with V the normalized problem, so
     # dC = g_b and d_eps = (dist - <g_b, C>) / eps; eps's own dependence

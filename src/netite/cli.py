@@ -176,14 +176,15 @@ def cmd_grid(args) -> int:
     split = _make_split_checked(ds, args.seed)
     best_cfg, _, best_report, records = grid_search(ds, split, cells)
 
-    header = ["lr", "alpha", "lambda", "out_layers", "dim", "val_mse", "status"]
+    header = ["lr", "alpha", "lambda", "gcn_layers", "out_layers", "dim", "epochs", "val_mse", "status"]
     lines = ["\t".join(header)]
     for rec in records:
         c = rec.cfg
         status = "ok" if rec.error is None else f"failed: {rec.error}"
         val = nio._fmt(rec.val_mse) if rec.val_mse is not None else "-"
         lines.append("\t".join([nio._fmt(c.learning_rate), nio._fmt(c.alpha), nio._fmt(c.lam),
-                                str(c.out_layers), str(c.rep_dim), val, status]))
+                                str(c.gcn_layers), str(c.out_layers), str(c.rep_dim), str(c.epochs),
+                                val, status]))
     grid_table = "\n".join(lines) + "\n"
     print(grid_table, end="")
     print("winner\tlr=%s\talpha=%s\tlambda=%s\tout_layers=%d\tdim=%d\tepochs=%d"

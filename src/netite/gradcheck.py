@@ -1,9 +1,13 @@
 """Finite-difference verification of the analytic objective gradient.
 
 The oracle is central finite differences of the full objective value; it
-never calls the reverse-mode path, so agreement validates both. A fixed
-Sinkhorn iteration count (convergence_tol = 0) keeps the objective a
-deterministic smooth function of the parameters.
+never calls the reverse-mode path, so agreement validates both. The
+probes evaluate the value only (`objective(..., grad=False)`, which
+takes W1 from `balance.w1_distance`): they run neither the Sinkhorn
+backward nor the model backward. The one analytic evaluation per
+instance runs the gradient path. A fixed Sinkhorn iteration count
+(convergence_tol = 0) keeps the objective a deterministic smooth
+function of the parameters.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def fd_max_rel_err(seed: int, step: float = 1e-5, alpha: float = 1e-3, lam: floa
 
     def value(vec):
         p = params.unflatten_from(vec)
-        loss, _, _ = objective(p, ds, train_idx, cfg, ahat=ahat)
+        loss, _, _ = objective(p, ds, train_idx, cfg, ahat=ahat, grad=False)
         return loss
 
     worst = 0.0

@@ -12,6 +12,7 @@ from the balancing penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ class ModelParams:
 
         def take(shape):
             nonlocal pos
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out = theta[pos : pos + size].reshape(shape).copy()
             pos += size
             return out
@@ -188,7 +189,7 @@ def _check_assignment(t_assign, n: int) -> np.ndarray:
     t_assign = np.asarray(t_assign)
     if t_assign.shape != (n,):
         raise ShapeError(f"treatment assignment must have shape ({n},), got {t_assign.shape}")
-    if not np.isin(t_assign, (0, 1)).all():
+    if not ((t_assign == 0) | (t_assign == 1)).all():
         raise ValueError("treatment assignment values must be in {0, 1}")
     return t_assign.astype(np.int64)
 

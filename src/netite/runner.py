@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .balance import SinkhornConfig, wasserstein1
+from .balance import SinkhornConfig, w1_distance, wasserstein1
 from .graph import identity_adjacency, normalize_adjacency
 from .linalg import make_rng
 from .model import ModelParams, _head_forward, backward, encode, forward, init_params
@@ -46,8 +46,10 @@ class TrainConfig:
     track_ipm: bool = True  # compute the W1 diagnostic even when alpha == 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("alpha and lam must be >= 0")
+        for name in ("alpha", "lam"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (isinstance(self.learning_rate, numbers.Real) and math.isfinite(self.learning_rate)
                 and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
@@ -116,11 +118,14 @@ def _check_train_groups(t: np.ndarray, train_idx: np.ndarray):
         raise DegenerateSplitError("training split must contain both treatment groups")
 
 
-def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_idx, cfg: TrainConfig):
-    """Loss, gradients, additive parts, the factual predictions for all
-    rows (for validation tracking), and the W1Result (None when W1 was
-    not computed). Reads only x, t, yf from the dataset; counterfactual
-    fields are never inputs."""
+def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_idx, cfg: TrainConfig,
+                    grad: bool = True):
+    """Loss, gradients (None unless grad), additive parts, the factual
+    predictions for all rows (for validation tracking), and the W1Result
+    (None when W1 was not computed). With grad false, W1 comes from
+    `w1_distance` and neither backward runs; the loss and parts are the
+    same, since the forward code is shared. Reads only x, t, yf from the
+    dataset; counterfactual fields are never inputs."""
     t = dataset.t
     _check_train_groups(t, train_idx)
     yhat, trace = forward(params, ahat, dataset.x, t)
@@ -130,7 +135,6 @@ def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_
     resid = np.zeros_like(yhat)
     resid[train_idx] = yhat[train_idx] - dataset.yf[train_idx]
     mse = float(np.sum(resid[train_idx] ** 2) / n_train)
-    grad_yhat = 2.0 * resid / n_train
 
     ipm = 0.0
     grad_h_extra = None
@@ -138,29 +142,33 @@ def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_
     if cfg.alpha > 0 or cfg.track_ipm:
         tr_treated = train_idx[t[train_idx] == 1]
         tr_control = train_idx[t[train_idx] == 0]
-        w1 = wasserstein1(h[tr_treated], h[tr_control], cfg.sinkhorn)
+        w1 = (wasserstein1 if grad else w1_distance)(h[tr_treated], h[tr_control], cfg.sinkhorn)
         ipm = w1.dist
-        if cfg.alpha > 0:
+        if grad and cfg.alpha > 0:
             grad_h_extra = np.zeros_like(h)
             grad_h_extra[tr_treated] = cfg.alpha * w1.grad_treated
             grad_h_extra[tr_control] = cfg.alpha * w1.grad_control
 
-    grads = backward(params, trace, grad_yhat, grad_h_extra)
     theta = params.flatten()
     l2 = float(theta @ theta)
-    if cfg.lam > 0:
-        grads = params.unflatten_from(grads.flatten() + 2.0 * cfg.lam * theta)
+    grads = None
+    if grad:
+        grads = backward(params, trace, 2.0 * resid / n_train, grad_h_extra)
+        if cfg.lam > 0:
+            grads = params.unflatten_from(grads.flatten() + 2.0 * cfg.lam * theta)
 
     loss = mse + cfg.alpha * ipm + cfg.lam * l2
     parts = {"mse": mse, "ipm": ipm, "l2": l2}
     return loss, grads, parts, yhat, w1
 
 
-def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None):
-    """Full objective and its exact gradient; see module docstring."""
+def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None,
+              grad: bool = True):
+    """Full objective and its exact gradient, or None for the gradient
+    when grad is false; see module docstring."""
     if ahat is None:
         ahat = normalize_adjacency(dataset.net)
-    loss, grads, parts, _, _ = _objective_impl(params, ahat, dataset, train_idx, cfg)
+    loss, grads, parts, _, _ = _objective_impl(params, ahat, dataset, train_idx, cfg, grad)
     return loss, grads, parts
 
 

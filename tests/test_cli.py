@@ -152,8 +152,11 @@ def test_train_non_finite_gradient_exits_5(tmp_path, capsys, monkeypatch):
     assert "non-finite gradient" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--epochs", "-5"], ["--lr", "-1"], ["--lr", "nan"]],
-                         ids=["negative-epochs", "negative-lr", "nan-lr"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("flags", [["--epochs", "-5"], ["--lr", "-1"], ["--lr", "nan"],
+                                   ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"]],
+                         ids=["negative-epochs", "negative-lr", "nan-lr",
+                              "nan-alpha", "nan-lambda", "inf-alpha"])
 def test_train_bad_config_exits_2(tmp_path, capsys, flags):
     out = simulate_dir(tmp_path, capsys=capsys)
     rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST, *flags])
@@ -227,7 +230,9 @@ def test_grid_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "winner\t" in text
     grid_tsv = (tmp_path / "res" / "grid.tsv").read_text().splitlines()
-    assert grid_tsv[0].split("\t") == ["lr", "alpha", "lambda", "out_layers", "dim", "val_mse", "status"]
+    assert grid_tsv[0].split("\t") == ["lr", "alpha", "lambda", "gcn_layers", "out_layers", "dim", "epochs",
+                                       "val_mse", "status"]
+    assert all(l.split("\t")[3:7] == ["1", "1", "8", "5"] for l in grid_tsv[1:])
     assert len(grid_tsv) == 3  # header + 2 cells
     assert all(l.split("\t")[-1] == "ok" for l in grid_tsv[1:])
 

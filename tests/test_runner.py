@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from netite.balance import SinkhornConfig
+from netite.graph import normalize_adjacency
 from netite.linalg import make_rng
 from netite.model import init_params
 from netite.runner import (
     DegenerateSplitError,
     TrainConfig,
+    _objective_impl,
     ablation_no_network,
     expand_grid,
     grid_search,
@@ -155,6 +157,36 @@ def test_objective_gradient_matches_finite_differences():
     assert fd_max_rel_err(123) < 1e-4
 
 
+def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat):
+    loss, grads, parts, yhat, w1 = _objective_impl(params, ahat, ds, train_idx, cfg)
+    v_loss, v_grads, v_parts, v_yhat, v_w1 = _objective_impl(params, ahat, ds, train_idx, cfg, grad=False)
+    assert (v_loss, v_parts) == (loss, parts)
+    assert np.array_equal(v_yhat, yhat)
+    assert (v_w1.dist, v_w1.converged, v_w1.iterations) == (w1.dist, w1.converged, w1.iterations)
+    assert grads is not None and v_grads is None and v_w1.grad_treated is None
+    assert objective(params, ds, train_idx, cfg, ahat=ahat, grad=False) == (loss, None, parts)
+
+
+def test_value_only_objective_on_gradcheck_instances():
+    from netite.gradcheck import random_tiny_instance
+
+    for seed in range(20):
+        params, ds, train_idx, cfg, ahat = random_tiny_instance(seed)
+        assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat)
+        probe = params.flatten()
+        probe[seed % probe.size] += 1e-5  # a finite-difference probe point
+        assert_value_path_equals_gradient_path(params.unflatten_from(probe), ds, train_idx, cfg, ahat)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.0], ids=["penalty-on", "penalty-off-track-ipm"])
+def test_value_only_objective_on_train_instance(alpha):
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    cfg = tiny_cfg(alpha=alpha, track_ipm=True, sinkhorn=SinkhornConfig())
+    params = init_params(cfg, ds.x.shape[1], make_rng(6))
+    assert_value_path_equals_gradient_path(params, ds, split.train, cfg, normalize_adjacency(ds.net))
+
+
 # ---- training ----
 
 def test_train_zero_epochs_returns_initial_model():
@@ -210,6 +242,13 @@ def test_train_counts_unconverged_sinkhorn_epochs():
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(ValueError):
         tiny_cfg(learning_rate=lr)
+
+
+@pytest.mark.parametrize("field", ["alpha", "lam"])
+@pytest.mark.parametrize("value", [-1e-4, np.nan, np.inf, "big", None])
+def test_train_config_rejects_bad_penalty_weight(field, value):
+    with pytest.raises(ValueError):
+        tiny_cfg(**{field: value})
 
 
 def test_ablation_identity_equals_dense_forward():
