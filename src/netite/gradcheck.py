@@ -1,13 +1,14 @@
 """Finite-difference verification of the analytic objective gradient.
 
 The oracle is central finite differences of the full objective value; it
-never calls the reverse-mode path, so agreement validates both. The
-probes evaluate the value only (`objective(..., grad=False)`, which
-takes W1 from `balance.w1_distance`): they run neither the Sinkhorn
-backward nor the model backward. The one analytic evaluation per
-instance runs the gradient path. A fixed Sinkhorn iteration count
-(convergence_tol = 0) keeps the objective a deterministic smooth
-function of the parameters.
+never calls the reverse-mode path, so agreement validates both. Each
+probe perturbs one entry of the flat parameter vector `params.theta` in
+place, evaluates the value only (`objective(..., grad=False)`, which
+takes W1 from `balance.w1_distance`: neither the Sinkhorn backward nor
+the model backward runs), and restores the entry. The one analytic
+evaluation per instance runs the gradient path. A fixed Sinkhorn
+iteration count (convergence_tol = 0) keeps the objective a
+deterministic smooth function of the parameters.
 """
 
 from __future__ import annotations
@@ -64,22 +65,18 @@ def fd_max_rel_err(seed: int, step: float = 1e-5, alpha: float = 1e-3, lam: floa
     """Max relative error between analytic and central finite-difference
     gradients of the full objective on one random tiny instance."""
     params, ds, train_idx, cfg, ahat = random_tiny_instance(seed, alpha=alpha, lam=lam)
-    _, grads, _ = objective(params, ds, train_idx, cfg, ahat=ahat)
-    g = grads.flatten()
-    theta = params.flatten()
+    g = objective(params, ds, train_idx, cfg, ahat=ahat)[1].theta
+    theta = params.theta
 
-    def value(vec):
-        p = params.unflatten_from(vec)
-        loss, _, _ = objective(p, ds, train_idx, cfg, ahat=ahat, grad=False)
-        return loss
+    def value_at(i, v):
+        theta[i] = v
+        return objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)[0]
 
     worst = 0.0
     for i in range(theta.size):
-        plus = theta.copy()
-        plus[i] += step
-        minus = theta.copy()
-        minus[i] -= step
-        fd = (value(plus) - value(minus)) / (2 * step)
+        orig = theta[i]
+        fd = (value_at(i, orig + step) - value_at(i, orig - step)) / (2 * step)
+        theta[i] = orig
         denom = max(abs(g[i]), abs(fd), 1e-5)
         worst = max(worst, abs(g[i] - fd) / denom)
     return worst

@@ -30,10 +30,13 @@ It raises ValueError, prefixed with the file's name, when
                 are not 0..n-1 each exactly once, or t is not 0 or 1.
 Blank lines are skipped; nothing else is.
 
-Checkpoints are decimal text: a fixed header (format version,
-architecture dims, seed) followed by the flattened parameter vector, one
-shortest-round-trip value per line, in the order documented on
-ModelParams. All floats everywhere are written with repr() so a
+Checkpoints are decimal text: a fixed header (format version, seed,
+num_features, gcn_dims, head_dims, value count) followed by the flat
+parameter vector ModelParams.theta, one shortest-round-trip value per
+line, in the order documented on ModelParams. load_checkpoint builds
+ModelParams from the header dims and the values, so a header that does
+not match its values, a dimension below 1 or trailing data raises
+CheckpointError. All floats everywhere are written with repr() so a
 load(save(x)) round trip is bit exact.
 """
 
@@ -198,7 +201,7 @@ def read_dataset(dirpath) -> NetworkedDataset:
 
 
 def save_checkpoint(path, params: ModelParams, seed: int) -> None:
-    theta = params.flatten()
+    theta = params.theta
     with open(path, "w") as f:
         f.write(f"format {FORMAT_VERSION}\n")
         f.write(f"seed {seed}\n")
@@ -211,7 +214,10 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, seed)."""
+    """Returns (params, seed). Raises CheckpointError on a corrupt file:
+    a malformed or unsupported header, a dimension below 1, an empty dims
+    list, a value count that does not match the dims, an unparsable or
+    missing value, or anything but whitespace after the declared values."""
     try:
         with open(path) as f:
             header = {}
@@ -220,30 +226,17 @@ def load_checkpoint(path):
                 header[key] = val.strip()
             if int(header["format"]) != FORMAT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint format {header['format']}")
-            num_features = int(header["num_features"])
-            gcn_dims = [int(d) for d in header["gcn_dims"].split(",")]
-            head_dims = [int(d) for d in header["head_dims"].split(",")]
             count = int(header["values"])
             theta = np.array([float(f.readline()) for _ in range(count)])
+            if f.read().strip():
+                raise CheckpointError(f"checkpoint {path} has data after its {count} declared values")
+        params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
+                             [int(d) for d in header["head_dims"].split(",")], theta)
+        return params, int(header["seed"])
     except CheckpointError:
         raise
     except (ValueError, KeyError, IndexError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    template = _template_params(num_features, gcn_dims, head_dims)
-    if template.flatten().size != theta.size:
-        raise CheckpointError("checkpoint value count does not match its architecture header")
-    return template.unflatten_from(theta), int(header["seed"])
-
-
-def _template_params(num_features: int, gcn_dims: list, head_dims: list) -> ModelParams:
-    enc_in = [num_features] + gcn_dims[:-1]
-    gw = [np.zeros((a, b)) for a, b in zip(enc_in, gcn_dims)]
-    gb = [np.zeros(b) for b in gcn_dims]
-    head_in = [gcn_dims[-1]] + head_dims[:-1]
-    hw = [[np.zeros((a, b)) for a, b in zip(head_in, head_dims)] for _ in (0, 1)]
-    hb = [[np.zeros(b) for b in head_dims] for _ in (0, 1)]
-    how = [np.zeros(head_dims[-1]) for _ in (0, 1)]
-    return ModelParams(gw, gb, hw, hb, how, [0.0, 0.0])
 
 
 RESULT_COLUMNS = ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]

@@ -13,7 +13,7 @@ from the balancing penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,86 +21,53 @@ import scipy.sparse as sp
 from .linalg import ShapeError, relu, relu_backward, spmm
 
 
-@dataclass
-class ModelParams:
-    """All trainable weights.
+def _layer_shapes(d_in: int, dims: list) -> list:
+    """Weight and bias shapes, layer by layer, of a stack from d_in through dims."""
+    return [s for a, b in zip([d_in, *dims], dims) for s in ((a, b), (b,))]
 
-    Flattening order (used by `flatten`/`unflatten` and the checkpoint
-    format): for each encoder layer, weight then bias; then for head 0
-    and head 1 in that order: for each hidden layer, weight then bias;
-    then the regression weight vector and the regression bias.
+
+class ModelParams:
+    """All trainable weights, as named views into one float64 vector `theta`.
+
+    The constructor is the only code that knows the order, which is also
+    the checkpoint order: for each encoder layer, weight then bias; then
+    for head 0 and head 1 in that order: for each hidden layer, weight
+    then bias; then the regression weight vector and the regression bias
+    (a 0-d view). Writing into a view (`w[...] = ...`) writes into
+    `theta`; rebinding a list entry would detach it. `flatten` returns a
+    copy of `theta`.
     """
 
-    gcn_weights: list  # layer l: (d_{l-1}, d_l), first is (m, d_1)
-    gcn_biases: list  # (d_l,)
-    head_weights: list  # [t][l]: (h_{l-1}, h_l), first is (d, h_1)
-    head_biases: list  # [t][l]: (h_l,)
-    head_out_weights: list  # [t]: (h_L,)
-    head_out_biases: list  # [t]: scalar
+    def __init__(self, num_features: int, gcn_dims, head_dims, theta: np.ndarray | None = None):
+        gcn_dims, head_dims = list(gcn_dims), list(head_dims)
+        if not gcn_dims or not head_dims or min([num_features, *gcn_dims, *head_dims]) < 1:
+            raise ValueError(f"dimensions must be >= 1 and the dims lists nonempty, got "
+                             f"num_features={num_features} gcn_dims={gcn_dims} head_dims={head_dims}")
+        self.num_features, self.gcn_dims, self.head_dims = num_features, gcn_dims, head_dims
+        head = _layer_shapes(gcn_dims[-1], head_dims) + [(head_dims[-1],), ()]
+        shapes = _layer_shapes(num_features, gcn_dims) + head + head
+        size = sum(math.prod(s) for s in shapes)
+        if theta is None:
+            theta = np.zeros(size)
+        elif theta.shape != (size,):
+            raise ShapeError(f"parameter vector has shape {theta.shape}, expected ({size},)")
+        self.theta = theta
+        views, pos = [], 0
+        for s in shapes:
+            views.append(theta[pos : pos + math.prod(s)].reshape(s))
+            pos += views[-1].size
+        g = 2 * len(gcn_dims)
+        heads = (views[g : g + len(head)], views[g + len(head) :])
+        self.gcn_weights = views[0:g:2]  # layer l: (d_{l-1}, d_l), first is (m, d_1)
+        self.gcn_biases = views[1:g:2]  # (d_l,)
+        self.head_weights = [v[0:-2:2] for v in heads]  # [t][l]: (h_{l-1}, h_l), first is (d, h_1)
+        self.head_biases = [v[1:-2:2] for v in heads]  # [t][l]: (h_l,)
+        self.head_out_weights = [v[-2] for v in heads]  # [t]: (h_L,)
+        self.head_out_biases = [v[-1] for v in heads]  # [t]: 0-d
 
     def flatten(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.gcn_weights, self.gcn_biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-        for t in (0, 1):
-            for w, b in zip(self.head_weights[t], self.head_biases[t]):
-                chunks.append(w.ravel())
-                chunks.append(b.ravel())
-            chunks.append(self.head_out_weights[t].ravel())
-            chunks.append(np.array([self.head_out_biases[t]], dtype=np.float64))
-        return np.concatenate(chunks)
-
-    def unflatten_from(self, theta: np.ndarray) -> "ModelParams":
-        """New ModelParams with this instance's shapes and theta's values."""
-        pos = 0
-
-        def take(shape):
-            nonlocal pos
-            size = math.prod(shape)
-            out = theta[pos : pos + size].reshape(shape).copy()
-            pos += size
-            return out
-
-        gw, gb = [], []
-        for w, b in zip(self.gcn_weights, self.gcn_biases):
-            gw.append(take(w.shape))
-            gb.append(take(b.shape))
-        hw, hb, how, hob = [[], []], [[], []], [], []
-        for t in (0, 1):
-            for w, b in zip(self.head_weights[t], self.head_biases[t]):
-                hw[t].append(take(w.shape))
-                hb[t].append(take(b.shape))
-            how.append(take(self.head_out_weights[t].shape))
-            hob.append(float(take((1,))[0]))
-        if pos != theta.size:
-            raise ShapeError(f"parameter vector has {theta.size} values, expected {pos}")
-        return ModelParams(gw, gb, hw, hb, how, hob)
-
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            [np.zeros_like(w) for w in self.gcn_weights],
-            [np.zeros_like(b) for b in self.gcn_biases],
-            [[np.zeros_like(w) for w in ws] for ws in self.head_weights],
-            [[np.zeros_like(b) for b in bs] for bs in self.head_biases],
-            [np.zeros_like(w) for w in self.head_out_weights],
-            [0.0, 0.0],
-        )
-
-    def copy(self) -> "ModelParams":
-        return self.unflatten_from(self.flatten())
-
-    @property
-    def num_features(self) -> int:
-        return self.gcn_weights[0].shape[0]
-
-    @property
-    def gcn_dims(self) -> list:
-        return [w.shape[1] for w in self.gcn_weights]
-
-    @property
-    def head_dims(self) -> list:
-        return [w.shape[1] for w in self.head_weights[0]]
+        """A copy of theta."""
+        return self.theta.copy()
 
 
 @dataclass
@@ -113,7 +80,6 @@ class ForwardTrace:
     enc_act: list  # activations H_l; last entry is the representation H
     head_pre: list  # [t][l] pre-activations
     head_act: list  # [t][l] activations, entry 0 is H
-    yhat_head: list  # [t]: per-row prediction from head t over all rows
     t_assign: np.ndarray
 
 
@@ -129,17 +95,15 @@ def init_params(cfg, num_features: int, rng: np.random.Generator) -> ModelParams
     GCN layer outputs rep_dim; every head hidden layer outputs
     hidden_units.
     """
-    gcn_dims = [num_features] + [cfg.rep_dim] * cfg.gcn_layers
-    gw = [glorot_uniform(rng, gcn_dims[i], gcn_dims[i + 1]) for i in range(cfg.gcn_layers)]
-    gb = [np.zeros(gcn_dims[i + 1]) for i in range(cfg.gcn_layers)]
-    head_dims = [cfg.rep_dim] + [cfg.hidden_units] * cfg.out_layers
-    hw, hb, how, hob = [], [], [], []
-    for _t in (0, 1):
-        hw.append([glorot_uniform(rng, head_dims[i], head_dims[i + 1]) for i in range(cfg.out_layers)])
-        hb.append([np.zeros(head_dims[i + 1]) for i in range(cfg.out_layers)])
-        how.append(glorot_uniform(rng, head_dims[-1], 1).ravel())
-        hob.append(0.0)
-    return ModelParams(gw, gb, hw, hb, how, hob)
+    params = ModelParams(num_features, [cfg.rep_dim] * cfg.gcn_layers, [cfg.hidden_units] * cfg.out_layers)
+    for w in params.gcn_weights:
+        w[...] = glorot_uniform(rng, *w.shape)
+    for t in (0, 1):
+        for w in params.head_weights[t]:
+            w[...] = glorot_uniform(rng, *w.shape)
+        w = params.head_out_weights[t]
+        w[...] = glorot_uniform(rng, w.size, 1).ravel()
+    return params
 
 
 def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
@@ -205,7 +169,7 @@ def forward(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray, t_assign: n
         head_act.append(act)
         yhat_head.append(y)
     yhat = np.where(t_assign == 1, yhat_head[1], yhat_head[0])
-    trace = ForwardTrace(ahat, enc_inputs, enc_pre, enc_act, head_pre, head_act, yhat_head, t_assign)
+    trace = ForwardTrace(ahat, enc_inputs, enc_pre, enc_act, head_pre, head_act, t_assign)
     return yhat, trace
 
 
@@ -225,7 +189,7 @@ def backward(
     grad_yhat = np.asarray(grad_yhat, dtype=np.float64)
     if grad_yhat.shape != (n,):
         raise ShapeError(f"grad_yhat must have shape ({n},), got {grad_yhat.shape}")
-    grads = params.zeros_like()
+    grads = ModelParams(params.num_features, params.gcn_dims, params.head_dims)
     h = trace.enc_act[-1]
     gh = np.zeros_like(h)
     if grad_h_extra is not None:
@@ -236,21 +200,21 @@ def backward(
     for t in (0, 1):
         gy = np.where(trace.t_assign == t, grad_yhat, 0.0)
         act = trace.head_act[t]
-        grads.head_out_weights[t] = act[-1].T @ gy
-        grads.head_out_biases[t] = float(gy.sum())
+        grads.head_out_weights[t][...] = act[-1].T @ gy
+        grads.head_out_biases[t][...] = gy.sum()
         ga = np.outer(gy, params.head_out_weights[t])
         for l in range(len(params.head_weights[t]) - 1, -1, -1):
             gs = relu_backward(trace.head_pre[t][l], ga)
-            grads.head_weights[t][l] = act[l].T @ gs
-            grads.head_biases[t][l] = gs.sum(axis=0)
+            grads.head_weights[t][l][...] = act[l].T @ gs
+            grads.head_biases[t][l][...] = gs.sum(axis=0)
             ga = gs @ params.head_weights[t][l].T
         gh = gh + ga
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
         gm = spmm(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
-        grads.gcn_weights[l] = trace.enc_inputs[l].T @ gm
-        grads.gcn_biases[l] = gz.sum(axis=0)
+        grads.gcn_weights[l][...] = trace.enc_inputs[l].T @ gm
+        grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX
             gh = gm @ params.gcn_weights[l].T
     return grads

@@ -118,14 +118,17 @@ def _check_train_groups(t: np.ndarray, train_idx: np.ndarray):
         raise DegenerateSplitError("training split must contain both treatment groups")
 
 
-def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_idx, cfg: TrainConfig,
-                    grad: bool = True):
-    """Loss, gradients (None unless grad), additive parts, the factual
+def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None,
+              grad: bool = True):
+    """Full objective (see module docstring). Returns the loss, its exact
+    gradient (None unless grad), the additive parts, the factual
     predictions for all rows (for validation tracking), and the W1Result
     (None when W1 was not computed). With grad false, W1 comes from
     `w1_distance` and neither backward runs; the loss and parts are the
     same, since the forward code is shared. Reads only x, t, yf from the
     dataset; counterfactual fields are never inputs."""
+    if ahat is None:
+        ahat = normalize_adjacency(dataset.net)
     t = dataset.t
     _check_train_groups(t, train_idx)
     yhat, trace = forward(params, ahat, dataset.x, t)
@@ -149,27 +152,16 @@ def _objective_impl(params: ModelParams, ahat, dataset: NetworkedDataset, train_
             grad_h_extra[tr_treated] = cfg.alpha * w1.grad_treated
             grad_h_extra[tr_control] = cfg.alpha * w1.grad_control
 
-    theta = params.flatten()
-    l2 = float(theta @ theta)
+    l2 = float(params.theta @ params.theta)
     grads = None
     if grad:
         grads = backward(params, trace, 2.0 * resid / n_train, grad_h_extra)
         if cfg.lam > 0:
-            grads = params.unflatten_from(grads.flatten() + 2.0 * cfg.lam * theta)
+            grads.theta += 2.0 * cfg.lam * params.theta
 
     loss = mse + cfg.alpha * ipm + cfg.lam * l2
     parts = {"mse": mse, "ipm": ipm, "l2": l2}
     return loss, grads, parts, yhat, w1
-
-
-def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None,
-              grad: bool = True):
-    """Full objective and its exact gradient, or None for the gradient
-    when grad is false; see module docstring."""
-    if ahat is None:
-        ahat = normalize_adjacency(dataset.net)
-    loss, grads, parts, _, _ = _objective_impl(params, ahat, dataset, train_idx, cfg, grad)
-    return loss, grads, parts
 
 
 def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat) -> dict:
@@ -195,16 +187,14 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_gr
     ahat = identity_adjacency(dataset.n) if identity_graph else normalize_adjacency(dataset.net)
     rng = make_rng(cfg.seed, stream=11)
     params = init_params(cfg, dataset.x.shape[1], rng)
-    theta = params.flatten()
-    adam = AdamState(size=theta.size, learning_rate=cfg.learning_rate)
+    adam = AdamState(size=params.theta.size, learning_rate=cfg.learning_rate)
     report = MetricsReport(splits={})
 
-    best_theta = theta.copy()
+    best_theta = params.flatten()
     best_val = np.inf
     best_epoch = -1
     for epoch in range(cfg.epochs):
-        params = params.unflatten_from(theta)
-        loss, grads, parts, yhat, w1 = _objective_impl(params, ahat, dataset, split.train, cfg)
+        loss, grads, parts, yhat, w1 = objective(params, dataset, split.train, cfg, ahat)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"non-finite loss at epoch {epoch}: parts={parts}")
         val_mse = float(np.mean((yhat[split.valid] - dataset.yf[split.valid]) ** 2))
@@ -217,14 +207,14 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_gr
             report.sinkhorn_unconverged += 1
         if val_mse < best_val:
             best_val = val_mse
-            best_theta = theta.copy()
+            best_theta = params.flatten()
             best_epoch = epoch
-        theta = adam_step(adam, theta, grads.flatten())
+        params.theta[:] = adam_step(adam, params.theta, grads.theta)
 
-    best_params = params.unflatten_from(best_theta) if cfg.epochs > 0 else params
+    params.theta[:] = best_theta
     report.best_epoch = best_epoch if cfg.epochs > 0 else 0
-    report.splits = evaluate(best_params, dataset, split, ahat)
-    return best_params, report
+    report.splits = evaluate(params, dataset, split, ahat)
+    return params, report
 
 
 def ablation_no_network(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):

@@ -219,6 +219,20 @@ def test_eval_feature_count_mismatch(tmp_path, capsys):
     assert rc == 6
 
 
+def test_eval_checkpoint_dimension_below_one_exits_6(tmp_path, capsys):
+    out = simulate_dir(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt), *TRAIN_FAST]) == 0
+    capsys.readouterr()
+    lines = ckpt.read_text().splitlines()
+    lines[3] = "gcn_dims -4,4"
+    ckpt.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt)])
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 def test_grid_command(tmp_path, capsys):
     out = simulate_dir(tmp_path)
     grid = tmp_path / "grid.json"

@@ -270,6 +270,50 @@ def test_checkpoint_inconsistent_header_raises(tmp_path):
         nio.load_checkpoint(path)
 
 
+def rewrite_checkpoint(path, header=None, drop_values=0, trailer=""):
+    """Replace header lines by key, drop the first values (fixing the
+    count), and append a trailer after the values."""
+    lines = path.read_text().splitlines()
+    values = lines[6 + drop_values:]
+    lines = lines[:5] + [f"values {len(values)}"]
+    for key, val in (header or {}).items():
+        lines = [f"{key} {val}" if l.split()[0] == key else l for l in lines]
+    path.write_text("\n".join(lines + values) + "\n" + trailer)
+
+
+# sample_params: num_features 11, gcn_dims 6,6, head_dims 4,4; each
+# value count below matches the edited header
+@pytest.mark.parametrize("header, drop", [
+    ({"gcn_dims": "-4,4"}, 0),
+    ({"num_features": "0"}, 66),
+    ({"head_dims": "4,0"}, 48),
+], ids=["negative-gcn-dim", "zero-features", "zero-head-dim"])
+def test_checkpoint_dimension_below_one_raises(tmp_path, header, drop):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    rewrite_checkpoint(path, header, drop_values=drop)
+    with pytest.raises(nio.CheckpointError):
+        nio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("trailer", ["0.5\n", "\n\n1e-3\n", "garbage"],
+                         ids=["value", "value-after-blank-lines", "text"])
+def test_checkpoint_data_after_values_raises(tmp_path, trailer):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    rewrite_checkpoint(path, trailer=trailer)
+    with pytest.raises(nio.CheckpointError):
+        nio.load_checkpoint(path)
+
+
+def test_checkpoint_whitespace_after_values_loads(tmp_path):
+    p = sample_params()
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, p, seed=0)
+    rewrite_checkpoint(path, trailer="\n \t\n\n")
+    assert np.array_equal(nio.load_checkpoint(path)[0].flatten(), p.flatten())
+
+
 def test_results_rows_format():
     sm = SplitMetrics(pehe_sqrt=1.5, ate_err=0.25, factual_mse=2.0)
     rows = nio.format_results_rows("rep_0", 3, {"train": sm, "valid": sm, "test": sm})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from netite import io as nio
 from netite.graph import Network, normalize_adjacency
 from netite.linalg import make_rng
 from netite.model import (
@@ -250,5 +251,83 @@ def test_flatten_roundtrip():
     cfg = small_cfg(gcn_layers=2, out_layers=3, rep_dim=4, hidden_units=5)
     p = init_params(cfg, 6, make_rng(9))
     theta = p.flatten()
-    q = p.unflatten_from(theta)
+    q = ModelParams(p.num_features, p.gcn_dims, p.head_dims, theta)
     assert np.array_equal(q.flatten(), theta)
+
+
+def reference_init_lists(cfg, num_features, rng):
+    """init_params as it was when ModelParams held six lists: the same rng
+    draws in the same order, kept here independent of ModelParams.
+    Returns [gcn_w, gcn_b, head_w, head_b, head_out_w, head_out_b]."""
+    def glorot(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    gcn_dims = [num_features] + [cfg.rep_dim] * cfg.gcn_layers
+    gw = [glorot(gcn_dims[i], gcn_dims[i + 1]) for i in range(cfg.gcn_layers)]
+    gb = [np.zeros(gcn_dims[i + 1]) for i in range(cfg.gcn_layers)]
+    head_dims = [cfg.rep_dim] + [cfg.hidden_units] * cfg.out_layers
+    hw, hb, how, hob = [], [], [], []
+    for _t in (0, 1):
+        hw.append([glorot(head_dims[i], head_dims[i + 1]) for i in range(cfg.out_layers)])
+        hb.append([np.zeros(head_dims[i + 1]) for i in range(cfg.out_layers)])
+        how.append(glorot(head_dims[-1], 1).ravel())
+        hob.append(0.0)
+    return [gw, gb, hw, hb, how, hob]
+
+
+def reference_flatten(gw, gb, hw, hb, how, hob):
+    """The list-based flatten, which fixed the parameter and checkpoint order."""
+    chunks = []
+    for w, b in zip(gw, gb):
+        chunks += [w.ravel(), b.ravel()]
+    for t in (0, 1):
+        for w, b in zip(hw[t], hb[t]):
+            chunks += [w.ravel(), b.ravel()]
+        chunks += [how[t].ravel(), np.array([hob[t]], dtype=np.float64)]
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("out_layers", [1, 2, 3])
+@pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+def test_parameter_order_matches_list_reference(tmp_path, gcn_layers, out_layers):
+    cfg = small_cfg(gcn_layers=gcn_layers, out_layers=out_layers, rep_dim=3, hidden_units=4)
+    seed = 10 * gcn_layers + out_layers
+    p = init_params(cfg, 5, make_rng(seed))
+    ref = reference_init_lists(cfg, 5, make_rng(seed))
+    gw, gb, hw, hb, how, hob = ref
+    # distinct nonzero biases, written through the named views, so that
+    # every block is told apart from every other
+    fill = make_rng(99)
+    for view, arr in zip(p.gcn_biases + p.head_biases[0] + p.head_biases[1], gb + hb[0] + hb[1]):
+        view[...] = arr[...] = fill.normal(size=arr.shape)
+    for t in (0, 1):
+        p.head_out_biases[t][...] = hob[t] = fill.normal()
+    theta = reference_flatten(*ref)
+    flat = p.flatten()
+    assert flat.dtype == theta.dtype and flat.tobytes() == theta.tobytes()
+    # the comparison tells the two heads apart
+    assert not np.array_equal(flat, reference_flatten(gw, gb, hw[::-1], hb[::-1], how[::-1], hob[::-1]))
+
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, p, seed=7)
+    header = (f"format 1\nseed 7\nnum_features 5\n"
+              f"gcn_dims {','.join(['3'] * gcn_layers)}\nhead_dims {','.join(['4'] * out_layers)}\n"
+              f"values {theta.size}\n")
+    assert path.read_bytes() == (header + "".join(f"{v!r}\n" for v in theta.tolist())).encode()
+
+
+def test_params_are_views_into_theta():
+    p = init_params(small_cfg(gcn_layers=2, out_layers=2), 3, make_rng(0))
+    p.gcn_biases[0][0] += 1.0
+    p.head_out_biases[1][...] = 2.5
+    theta = p.flatten()
+    assert theta[3 * 2 + 0] == 1.0 and theta[-1] == 2.5
+    theta[:] = 0.0  # flatten is a copy
+    assert p.gcn_biases[0][0] == 1.0
+
+
+@pytest.mark.parametrize("dims", [(0, [2], [2]), (3, [], [2]), (3, [2], []), (3, [2, 0], [2]), (3, [2], [-1])])
+def test_params_reject_dimension_below_one(dims):
+    with pytest.raises(ValueError):
+        ModelParams(*dims)

@@ -4,11 +4,10 @@ import pytest
 from netite.balance import SinkhornConfig
 from netite.graph import normalize_adjacency
 from netite.linalg import make_rng
-from netite.model import init_params
+from netite.model import ModelParams, init_params
 from netite.runner import (
     DegenerateSplitError,
     TrainConfig,
-    _objective_impl,
     ablation_no_network,
     expand_grid,
     grid_search,
@@ -94,7 +93,7 @@ def test_objective_reduces_to_mse():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(alpha=0.0, lam=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(0))
-    loss, _, parts = objective(params, ds, split.train, cfg)
+    loss, _, parts, _, _ = objective(params, ds, split.train, cfg)
     assert loss == parts["mse"]
     assert parts["ipm"] == 0.0
 
@@ -104,7 +103,7 @@ def test_objective_additivity():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg()
     params = init_params(cfg, ds.x.shape[1], make_rng(1))
-    loss, _, parts = objective(params, ds, split.train, cfg)
+    loss, _, parts, _, _ = objective(params, ds, split.train, cfg)
     assert abs(loss - (parts["mse"] + cfg.alpha * parts["ipm"] + cfg.lam * parts["l2"])) < 1e-9
 
 
@@ -116,8 +115,8 @@ def test_objective_l2_only_for_perfect_predictor():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(alpha=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(2))
-    zero = params.unflatten_from(np.zeros_like(params.flatten()))
-    loss, _, parts = objective(zero, ds, split.train, cfg)
+    zero = ModelParams(params.num_features, params.gcn_dims, params.head_dims, np.zeros_like(params.flatten()))
+    loss, _, parts, _, _ = objective(zero, ds, split.train, cfg)
     assert parts["mse"] == 0.0
     assert loss == cfg.lam * parts["l2"] == 0.0
 
@@ -158,13 +157,13 @@ def test_objective_gradient_matches_finite_differences():
 
 
 def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat):
-    loss, grads, parts, yhat, w1 = _objective_impl(params, ahat, ds, train_idx, cfg)
-    v_loss, v_grads, v_parts, v_yhat, v_w1 = _objective_impl(params, ahat, ds, train_idx, cfg, grad=False)
+    loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
+    v_loss, v_grads, v_parts, v_yhat, v_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
     assert (v_loss, v_parts) == (loss, parts)
     assert np.array_equal(v_yhat, yhat)
     assert (v_w1.dist, v_w1.converged, v_w1.iterations) == (w1.dist, w1.converged, w1.iterations)
     assert grads is not None and v_grads is None and v_w1.grad_treated is None
-    assert objective(params, ds, train_idx, cfg, ahat=ahat, grad=False) == (loss, None, parts)
+    assert objective(params, ds, train_idx, cfg, grad=False)[:3] == (loss, None, parts)
 
 
 def test_value_only_objective_on_gradcheck_instances():
@@ -175,7 +174,8 @@ def test_value_only_objective_on_gradcheck_instances():
         assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat)
         probe = params.flatten()
         probe[seed % probe.size] += 1e-5  # a finite-difference probe point
-        assert_value_path_equals_gradient_path(params.unflatten_from(probe), ds, train_idx, cfg, ahat)
+        probe_params = ModelParams(params.num_features, params.gcn_dims, params.head_dims, probe)
+        assert_value_path_equals_gradient_path(probe_params, ds, train_idx, cfg, ahat)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.0], ids=["penalty-on", "penalty-off-track-ipm"])
