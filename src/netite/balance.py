@@ -6,19 +6,31 @@ Euclidean distance) is approximated by entropic-regularized optimal
 transport solved with Sinkhorn iterations. The reported value is the
 transport cost <P, C> at the computed plan. Gradients are exact for that
 value: the backward pass unrolls the executed Sinkhorn iterations,
-including the dependence of the regularization strength on the median
-pairwise cost.
+including the dependence of the regularization strength on the costs.
+
+The regularization strength eps is entropic_reg times the median
+pairwise cost, or times the mean cost when the median is zero (more
+than half the pairs coincide), so that eps keeps the scale of the
+costs that are not zero.
 
 Sinkhorn runs in the scaling domain: with the kernel K = exp(-C/eps)
 built once, each iteration is two matrix-vector products,
-u = a / (K v) and v = b / (K^T u), and the unrolled backward collects
-every step's K-shaped term in one product K * (U^T X + Y^T V) over the
-stored iterates. That needs K and every scaling to be normal float64
-numbers. When max(C)/eps exceeds 700, so that exp(-C/eps) would
-underflow, or when a scaling, a product K v or K^T u, or the gradient
-leaves the normal range, the same iteration runs in the log domain on
-the potentials phi = log(u/a), psi = log(v/b) instead, which holds
-at any eps but is several times slower.
+u = a / (K v) and v = b / (K^T u). Convergence (the row marginal
+u * K v within the tolerance of a) is tested once per block of up to
+32 iterations, in one vectorized expression over the block's iterates,
+and the run exits at the first iterate that meets it. The iterations
+the block ran past that one are discarded, so the exit, the plan and
+the gradients are those of a test after every iteration. The block
+shrinks as the groups grow, to one iteration from 2^14 cells up.
+
+The unrolled backward collects every step's K-shaped term in one
+product K * (U^T X + Y^T V) over the stored iterates. That needs K and
+every scaling to be normal float64 numbers. When max(C)/eps exceeds
+700, so that exp(-C/eps) would underflow, or when a scaling, a product
+K v or K^T u, or the gradient leaves the normal range, the same
+iteration runs in the log domain on the potentials phi = log(u/a),
+psi = log(v/b) instead, which holds at any eps but is several times
+slower.
 
 `wasserstein1` returns the value and both gradients. `w1_distance`
 returns the same value from the same iterations, but stops once the plan
@@ -103,6 +115,14 @@ def _within(x: np.ndarray, lo: float, hi: float) -> bool:
     return bool(lo <= x.min() and x.max() <= hi)
 
 
+def _check_block(cells: int) -> int:
+    """Sinkhorn iterations between two convergence checks: up to 32 on
+    few-point groups, where the per-call overhead of a check costs as
+    much as an iteration, and 1 from 2^14 cells up, where the iterations
+    a block runs past the exit would cost more than the checks saved."""
+    return max(1, min(32, 2**14 // cells))
+
+
 def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
     """Plan, d<P, B>/dB (None unless grad), convergence flag and
     iteration count from Sinkhorn on the scalings u = a e^phi,
@@ -114,20 +134,30 @@ def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
 
     # ndarray.dot and ufunc.reduce skip the dispatch of @ and np.max,
     # which dominates on the few-point groups of the acceptance checks.
-    us, vs = [], [np.full(n0, b)]
+    us, vs, kvs = [], [np.full(n0, b)], []
     kv = k.dot(vs[0])
+    block = _check_block(n1 * n0)
     converged = False
-    for _ in range(cfg.max_iters):
-        u = a / kv
-        v = b / kt.dot(u)
-        us.append(u)
-        vs.append(v)
-        kv = k.dot(v)
-        # u * (K v) is the row marginal of the current plan diag(u) K diag(v)
-        if cfg.convergence_tol > 0 and np.maximum.reduce(np.abs(u * kv - a)) < cfg.convergence_tol:
-            converged = True
-            break
+    while not converged and len(us) < cfg.max_iters:
+        for _ in range(min(block, cfg.max_iters - len(us))):
+            u = a / kv
+            v = b / kt.dot(u)
+            kv = k.dot(v)
+            us.append(u)
+            vs.append(v)
+            kvs.append(kv)
+        if cfg.convergence_tol > 0:
+            # u_t * (K v_t) is the row marginal of the plan diag(u_t) K diag(v_t);
+            # exit at the block's first iterate within tol, dropping the rest
+            viol = np.maximum.reduce(np.abs(np.array(us[-len(kvs):]) * kvs - a), axis=1)
+            hit = np.flatnonzero(viol < cfg.convergence_tol)
+            if hit.size:
+                converged = True
+                keep = len(us) - len(kvs) + int(hit[0]) + 1
+                del us[keep:], vs[keep + 1:]
+        kvs.clear()
     iters = len(us)
+    u, v = us[-1], vs[-1]
     u_hist, v_hist = np.array(us), np.array(vs)
     del us, vs
     # u <= a / tiny exactly when the K v it came from was >= tiny
@@ -138,21 +168,25 @@ def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
     if not grad:
         return p, None, converged, iters
     pb = p * b_mat
-    g_phi = pb.sum(axis=1)
+    g_phi_plan = pb.sum(axis=1)
     g_psi = pb.sum(axis=0)
 
     # Step t of the log-domain backward adds diag(u_t) K diag(x_t) and
     # diag(y_t) K diag(v_{t-1}) to dB, with x_t = e^psi_t * g_psi and
-    # y_t = e^phi_t * g_phi; the loop only carries the two vectors.
-    eu, ev, nv = u_hist / a, v_hist / b, -v_hist
+    # y_t = e^phi_t * g_phi; the loop only carries the two vectors. The
+    # plan's own g_phi enters at the last iterate only; at every earlier
+    # one g_phi is just -u_t * K x_t.
+    eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
     x_hist, y_hist = np.empty((iters, n0)), np.empty((iters, n1))
-    for u_t, eu_t, ev_t, nv_prev, x, y in zip(
-            u_hist[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
+    for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
+            nu[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
         np.multiply(ev_t, g_psi, out=x)
-        g_phi = g_phi - u_t * k.dot(x)
+        g_phi = nu_t * k.dot(x)
+        if g_phi_plan is not None:
+            g_phi += g_phi_plan
+            g_phi_plan = None
         np.multiply(eu_t, g_phi, out=y)
         g_psi = nv_prev * kt.dot(y)
-        g_phi = 0.0
     g_b = p * (1.0 - b_mat) + k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
     if not np.all(np.isfinite(g_b)):
         return None
@@ -225,8 +259,12 @@ def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
     c = cdist(treated, control)
     if not np.all(np.isfinite(c)):
         raise NumericError("non-finite pairwise cost")
-    med, med_idx, med_wts = _median_with_support(c)
-    eps = cfg.entropic_reg * max(med, 1e-12)
+    scale, med_idx, med_wts = _median_with_support(c)
+    if scale <= 1e-12:
+        # more than half the costs are zero (e.g. collapsed representations),
+        # so the median says nothing of the scale; the mean still does
+        scale, med_idx = float(c.mean()), None
+    eps = cfg.entropic_reg * max(scale, 1e-12)
 
     # Gradients are taken in the B = C/eps units.
     b_mat = c / eps
@@ -242,13 +280,16 @@ def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
 
     # dist(C, eps) = eps * V(C / eps) with V the normalized problem, so
     # dC = g_b and d_eps = (dist - <g_b, C>) / eps; eps's own dependence
-    # on the median cost feeds back into dC.
+    # on the median (or mean) cost feeds back into dC.
     g_c = g_b
-    if med > 1e-12:
+    if scale > 1e-12:
         g_eps = (dist - float(np.sum(g_c * c))) / eps
-        flat = g_c.ravel()
-        for i, w in zip(med_idx, med_wts):
-            flat[i] += g_eps * cfg.entropic_reg * w
+        if med_idx is None:  # the mean weighs every cell 1 / (n1 n0)
+            g_c += g_eps * cfg.entropic_reg / c.size
+        else:
+            flat = g_c.ravel()
+            for i, w in zip(med_idx, med_wts):
+                flat[i] += g_eps * cfg.entropic_reg * w
 
     # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
     # without materializing the n1 x n0 x d unit-vector tensor

@@ -1,4 +1,4 @@
-"""Dense/sparse linear algebra primitives and seeded RNG construction.
+"""Shape and numeric error types, seeded RNG construction, and ReLU.
 
 Everything here is float64 and pure: functions never mutate their inputs,
 so they are safe to call from multiple threads. RNG generators are
@@ -8,7 +8,6 @@ single-owner; parallel work should use distinct stream ids.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -26,29 +25,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense product a @ b with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def spmm(s: sp.spmatrix, d: np.ndarray) -> np.ndarray:
-    """Sparse-dense product s @ d; equals matmul(densify(s), d)."""
-    d = np.asarray(d, dtype=np.float64)
-    if s.shape[1] != d.shape[0]:
-        raise ShapeError(f"spmm shape mismatch: {s.shape} x {d.shape}")
-    return np.asarray(s @ d)
-
-
-def densify(s: sp.spmatrix) -> np.ndarray:
-    return np.asarray(s.todense(), dtype=np.float64)
-
-
 def relu(m: np.ndarray) -> np.ndarray:
     return np.maximum(m, 0.0)
 
@@ -58,13 +34,3 @@ def relu_backward(m: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     if m.shape != upstream.shape:
         raise ShapeError(f"relu_backward shape mismatch: {m.shape} vs {upstream.shape}")
     return np.where(m > 0.0, upstream, 0.0)
-
-
-def sample_gaussian(
-    rng: np.random.Generator, rows: int, cols: int, mean: float = 0.0, std: float = 1.0
-) -> np.ndarray:
-    if std < 0:
-        raise ValueError("std must be >= 0")
-    if std == 0:
-        return np.full((rows, cols), float(mean))
-    return rng.normal(mean, std, size=(rows, cols))

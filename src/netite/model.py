@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, relu, relu_backward, spmm
+from .linalg import ShapeError, relu, relu_backward
 
 
 def _layer_shapes(d_in: int, dims: list) -> list:
@@ -33,9 +33,10 @@ class ModelParams:
     the checkpoint order: for each encoder layer, weight then bias; then
     for head 0 and head 1 in that order: for each hidden layer, weight
     then bias; then the regression weight vector and the regression bias
-    (a 0-d view). Writing into a view (`w[...] = ...`) writes into
-    `theta`; rebinding a list entry would detach it. `flatten` returns a
-    copy of `theta`.
+    (a 0-d view). The encoder block thus leads theta, and the
+    representations H depend on nothing after it. Writing into a view
+    (`w[...] = ...`) writes into `theta`; rebinding a list entry would
+    detach it. `flatten` returns a copy of `theta`.
     """
 
     def __init__(self, num_features: int, gcn_dims, head_dims, theta: np.ndarray | None = None):
@@ -120,7 +121,7 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
-        z = spmm(ahat, h @ w) + b
+        z = ahat @ (h @ w) + b
         enc_inputs.append(h)
         h = relu(z)
         enc_pre.append(z)
@@ -212,7 +213,7 @@ def backward(
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
-        gm = spmm(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
+        gm = trace.ahat @ gz  # A_hat is symmetric: A_hat^T gz == A_hat gz
         grads.gcn_weights[l][...] = trace.enc_inputs[l].T @ gm
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX

@@ -119,14 +119,20 @@ def _check_train_groups(t: np.ndarray, train_idx: np.ndarray):
 
 
 def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None,
-              grad: bool = True):
+              grad: bool = True, w1=None):
     """Full objective (see module docstring). Returns the loss, its exact
     gradient (None unless grad), the additive parts, the factual
     predictions for all rows (for validation tracking), and the W1Result
     (None when W1 was not computed). With grad false, W1 comes from
     `w1_distance` and neither backward runs; the loss and parts are the
     same, since the forward code is shared. Reads only x, t, yf from the
-    dataset; counterfactual fields are never inputs."""
+    dataset; counterfactual fields are never inputs.
+
+    A given `w1` is used as the W1Result of this call's representations
+    H instead of computing W1 again, and is returned. The caller vouches
+    that H is bit for bit the H that `w1` was computed from, for example
+    because only head parameters changed since; with grad, `w1` must
+    also carry the gradients."""
     if ahat is None:
         ahat = normalize_adjacency(dataset.net)
     t = dataset.t
@@ -141,16 +147,18 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
 
     ipm = 0.0
     grad_h_extra = None
-    w1 = None
     if cfg.alpha > 0 or cfg.track_ipm:
         tr_treated = train_idx[t[train_idx] == 1]
         tr_control = train_idx[t[train_idx] == 0]
-        w1 = (wasserstein1 if grad else w1_distance)(h[tr_treated], h[tr_control], cfg.sinkhorn)
+        if w1 is None:
+            w1 = (wasserstein1 if grad else w1_distance)(h[tr_treated], h[tr_control], cfg.sinkhorn)
         ipm = w1.dist
         if grad and cfg.alpha > 0:
             grad_h_extra = np.zeros_like(h)
             grad_h_extra[tr_treated] = cfg.alpha * w1.grad_treated
             grad_h_extra[tr_control] = cfg.alpha * w1.grad_control
+    else:
+        w1 = None
 
     l2 = float(params.theta @ params.theta)
     grads = None

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
+from netite import balance
 from netite.balance import (
     DegenerateGroupsError,
     SinkhornConfig,
+    _check_block,
     _median_with_support,
     exact_w1_oracle,
     w1_distance,
@@ -123,6 +125,37 @@ def test_gradient_matches_finite_differences(entropic_reg, max_iters):
                     fd = (wasserstein1(a, plus, cfg).dist - wasserstein1(a, minus, cfg).dist) / (2 * h)
                 denom = max(abs(grad[i, j]), abs(fd), 1e-6)
                 assert abs(grad[i, j] - fd) / denom < 1e-3
+
+
+# Six of the nine costs are zero, so the median cost is 0; eps used to
+# fall to entropic_reg * 1e-12 and Sinkhorn to stop unconverged with
+# gradients near 1e10.
+def test_zero_median_cost_converges():
+    a, b = np.array([[0.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [5.0]])
+    res = wasserstein1(a, b, SinkhornConfig())
+    assert res.converged
+    assert abs(res.dist - 5 / 3) < 0.05
+    for grad in (res.grad_treated, res.grad_control):
+        assert np.all(np.isfinite(grad)) and np.abs(grad).max() < 1.0
+
+
+# Nine of the sixteen costs are zero, and they stay zero when the two
+# free points move, so eps is the mean cost on both sides of every
+# difference and its gradient is checked with the rest. At this
+# entropic_reg, dropping the eps term moves the gradient by about 2%.
+def test_zero_median_cost_gradient_matches_finite_differences():
+    a = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
+    b = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
+    cfg = SinkhornConfig(entropic_reg=0.5, max_iters=200, convergence_tol=0.0)
+    res = wasserstein1(a, b, cfg)
+    h = 1e-6
+    for which, grad in ((0, res.grad_treated), (1, res.grad_control)):
+        for j in range(2):
+            plus, minus = [a.copy(), b.copy()], [a.copy(), b.copy()]
+            plus[which][3, j] += h
+            minus[which][3, j] -= h
+            fd = (wasserstein1(*plus, cfg).dist - wasserstein1(*minus, cfg).dist) / (2 * h)
+            assert abs(grad[3, j] - fd) / max(abs(fd), 1e-6) < 1e-6
 
 
 def test_unconverged_cap_is_flagged():
@@ -252,3 +285,94 @@ def test_w1_oracle_gap_equal_groups(n, d, seed, scale, shift):
     a, b = a * scale + shift, b * scale + shift
     exact = exact_w1_oracle(a, b)
     assert abs(w1_distance(a, b, TIGHT).dist - exact) / max(exact, 1e-12) < 0.05
+
+
+def reference_sinkhorn_scaling(b_mat, cfg, grad):
+    """`balance._sinkhorn_scaling` as it was before the convergence check
+    ran once per block: one check per iteration, and 0.0 - u_t * K x_t
+    in the backward."""
+    n1, n0 = b_mat.shape
+    a, b = 1.0 / n1, 1.0 / n0
+    k = np.exp(-b_mat)
+    kt = np.ascontiguousarray(k.T)
+    us, vs = [], [np.full(n0, b)]
+    kv = k.dot(vs[0])
+    converged = False
+    for _ in range(cfg.max_iters):
+        u = a / kv
+        v = b / kt.dot(u)
+        us.append(u)
+        vs.append(v)
+        kv = k.dot(v)
+        if cfg.convergence_tol > 0 and np.maximum.reduce(np.abs(u * kv - a)) < cfg.convergence_tol:
+            converged = True
+            break
+    iters = len(us)
+    u_hist, v_hist = np.array(us), np.array(vs)
+    tiny = np.finfo(np.float64).tiny
+    if not (balance._within(u_hist, tiny, a / tiny) and balance._within(v_hist, tiny, b / tiny)):
+        return None
+    p = u[:, None] * k * v[None, :]
+    if not grad:
+        return p, None, converged, iters
+    pb = p * b_mat
+    g_phi = pb.sum(axis=1)
+    g_psi = pb.sum(axis=0)
+    eu, ev, nv = u_hist / a, v_hist / b, -v_hist
+    x_hist, y_hist = np.empty((iters, n0)), np.empty((iters, n1))
+    for u_t, eu_t, ev_t, nv_prev, x, y in zip(
+            u_hist[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
+        np.multiply(ev_t, g_psi, out=x)
+        g_phi = g_phi - u_t * k.dot(x)
+        np.multiply(eu_t, g_phi, out=y)
+        g_psi = nv_prev * kt.dot(y)
+        g_phi = 0.0
+    g_b = p * (1.0 - b_mat) + k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
+    if not np.all(np.isfinite(g_b)):
+        return None
+    return p, g_b, converged, iters
+
+
+def criterion_2_stream():
+    rng = make_rng(2024)
+    for _ in range(50):
+        k = int(rng.integers(2, 7))
+        d = int(rng.integers(1, 4))
+        yield rng.normal(size=(k, d)), rng.normal(size=(k, d))
+
+
+BLOCK_EXIT = SinkhornConfig(entropic_reg=0.1, max_iters=3000, convergence_tol=1e-9)
+
+# (group pairs, config, where the run stops: at a cap that is not a
+# multiple of the block, or on the first or last iteration of a block)
+BLOCK_CASES = {
+    "criterion-2-stream": (list(criterion_2_stream()), TIGHT, None),
+    "tol-0": ([gaussian_groups(6, 4, 3, 2)], SinkhornConfig(entropic_reg=0.2, max_iters=150, convergence_tol=0.0),
+              "cap"),
+    "exit-first-of-block": ([gaussian_groups(3, 3, 5, 2)], BLOCK_EXIT, "first"),
+    "exit-last-of-block": ([gaussian_groups(218, 3, 5, 2)], BLOCK_EXIT, "last"),
+    "cap-not-a-block-multiple": ([gaussian_groups(1, 4, 4, 2)],
+                                 SinkhornConfig(entropic_reg=0.01, max_iters=45, convergence_tol=1e-12), "cap"),
+    "2^14-cells-up": ([gaussian_groups(0, 130, 130, 3)], SinkhornConfig(), None),
+    "log-fallback": ([oracle_groups(24)], SinkhornConfig(entropic_reg=0.002, max_iters=5000,
+                                                         convergence_tol=1e-12), None),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_convergence_check_matches_per_iteration_check(case, monkeypatch):
+    groups, cfg, stop = BLOCK_CASES[case]
+    got = [wasserstein1(a, b, cfg) for a, b in groups]
+    monkeypatch.setattr(balance, "_sinkhorn_scaling", reference_sinkhorn_scaling)
+    want = [wasserstein1(a, b, cfg) for a, b in groups]
+    for (a, b), full, ref in zip(groups, got, want):
+        assert (full.dist, full.converged, full.iterations) == (ref.dist, ref.converged, ref.iterations)
+        assert np.array_equal(full.grad_treated, ref.grad_treated)
+        assert np.array_equal(full.grad_control, ref.grad_control)
+        cells = a.shape[0] * b.shape[0]
+        block = _check_block(cells)
+        assert (block == 1) == (cells >= 2**14)
+        if stop == "cap":
+            assert not full.converged and full.iterations == cfg.max_iters and cfg.max_iters % block != 0
+        elif stop is not None:
+            assert full.converged and (full.iterations - 1) % block == (0 if stop == "first" else block - 1)

@@ -1,65 +1,6 @@
 import numpy as np
-import pytest
-import scipy.sparse as sp
 
-from netite.linalg import (
-    ShapeError,
-    densify,
-    make_rng,
-    matmul,
-    relu,
-    relu_backward,
-    sample_gaussian,
-    spmm,
-)
-
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_example():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_zero():
-    m = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associative():
-    rng = make_rng(3)
-    a, b, c = (rng.normal(size=(5, 5)) for _ in range(3))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
-
-
-def test_spmm_identity_and_empty():
-    x = make_rng(0).normal(size=(4, 3))
-    assert np.array_equal(spmm(sp.identity(4, format="csr"), x), x)
-    empty = sp.csr_matrix((4, 4))
-    assert np.array_equal(spmm(empty, x), np.zeros((4, 3)))
-
-
-def test_spmm_matches_densified_matmul():
-    rng = make_rng(1)
-    dense = rng.normal(size=(5, 5)) * (rng.random((5, 5)) < 0.4)
-    s = sp.csr_matrix(dense)
-    x = rng.normal(size=(5, 2))
-    assert np.allclose(spmm(s, x), matmul(densify(s), x), atol=1e-12)
-
-
-def test_spmm_shape_error():
-    with pytest.raises(ShapeError):
-        spmm(sp.identity(3, format="csr"), np.zeros((4, 2)))
+from netite.linalg import make_rng, relu, relu_backward
 
 
 def test_relu_and_backward():
@@ -88,21 +29,6 @@ def test_relu_backward_finite_difference():
     fd = ((relu(x + h * u) - relu(x - h * u)) / (2 * h)).sum()
     analytic = relu_backward(x, u).sum()
     assert abs(fd - analytic) / max(abs(analytic), 1e-12) < 1e-6
-
-
-def test_sample_gaussian_zero_std_and_determinism():
-    rng = make_rng(0)
-    const = sample_gaussian(rng, 2, 2, mean=3.5, std=0.0)
-    assert np.array_equal(const, np.full((2, 2), 3.5))
-    a = sample_gaussian(make_rng(42), 5, 5, 0.0, 1.0)
-    b = sample_gaussian(make_rng(42), 5, 5, 0.0, 1.0)
-    assert np.array_equal(a, b)
-
-
-def test_sample_gaussian_moments():
-    x = sample_gaussian(make_rng(7), 100_000, 1, mean=0.5, std=2.0)
-    assert abs(x.mean() - 0.5) < 0.02 * 2.0
-    assert abs(x.std() - 2.0) < 0.02 * 2.0
 
 
 def test_rng_streams_reproducible_and_distinct():

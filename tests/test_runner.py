@@ -156,6 +156,46 @@ def test_objective_gradient_matches_finite_differences():
     assert fd_max_rel_err(123) < 1e-4
 
 
+def reference_fd_max_rel_err(seed, step=1e-5):
+    """`gradcheck.fd_max_rel_err` with W1 computed afresh on every probe."""
+    from netite.gradcheck import random_tiny_instance
+
+    params, ds, train_idx, cfg, ahat = random_tiny_instance(seed)
+    g = objective(params, ds, train_idx, cfg, ahat=ahat)[1].theta
+    theta = params.theta
+    worst = 0.0
+    for i in range(theta.size):
+        orig = theta[i]
+        values = []
+        for v in (orig + step, orig - step):
+            theta[i] = v
+            values.append(objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)[0])
+        theta[i] = orig
+        fd = (values[0] - values[1]) / (2 * step)
+        worst = max(worst, abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1e-5))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11, 123])
+def test_fd_probes_reusing_w1_match_recomputing_it(seed):
+    from netite.gradcheck import fd_max_rel_err
+
+    assert fd_max_rel_err(seed) == reference_fd_max_rel_err(seed)
+
+
+def test_objective_uses_given_w1():
+    from netite.gradcheck import random_tiny_instance
+
+    params, ds, train_idx, cfg, ahat = random_tiny_instance(0)
+    for grad in (True, False):
+        loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad)
+        again = objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad, w1=w1)
+        assert again[0] == loss and again[2] == parts and again[4] is w1
+        assert grads is None or np.array_equal(again[1].theta, grads.theta)
+        stale = w1._replace(dist=w1.dist + 1.0)
+        assert objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad, w1=stale)[2]["ipm"] == stale.dist
+
+
 def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat):
     loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
     v_loss, v_grads, v_parts, v_yhat, v_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
