@@ -13,32 +13,39 @@ pairwise cost, or times the mean cost when the median is zero (more
 than half the pairs coincide), so that eps keeps the scale of the
 costs that are not zero.
 
-Sinkhorn runs in the scaling domain: with the kernel K = exp(-C/eps)
-built once, each iteration is two matrix-vector products,
-u = a / (K v) and v = b / (K^T u). Convergence (the row marginal
-u * K v within the tolerance of a) is tested once per block of up to
-32 iterations, in one vectorized expression over the block's iterates,
-and the run exits at the first iterate that meets it. The iterations
-the block ran past that one are discarded, so the exit, the plan and
-the gradients are those of a test after every iteration. The block
-shrinks as the groups grow, to one iteration from 2^14 cells up.
+Sinkhorn runs on the scalings u, v of the kernel K = exp(f + g - B),
+B = C/eps, where the potentials f (rows) and g (columns) carry what the
+scalings would not hold in float64 (stabilized scaling, Schmitzer 2019,
+arXiv:1610.06519). Each iteration is two matrix-vector products,
+u = a / (K v) and v = b / (K^T u); the plan is diag(u) K diag(v). When
+max(B) is at most ln(1e150), f = g = 0 and K is exp(-B). Above that,
+f starts at the row minima of B and g at the column minima of B - f,
+so every row and column of K holds a 1, and the first iterate starts
+from v = b e^-g, which is the true start b.
 
-The unrolled backward collects every step's K-shaped term in one
-product K * (U^T X + Y^T V) over the stored iterates. That needs K and
-every scaling to be normal float64 numbers. When max(C)/eps exceeds
-700, so that exp(-C/eps) would underflow, or when a scaling, a product
-K v or K^T u, or the gradient leaves the normal range, the same
-iteration runs in the log domain on the potentials phi = log(u/a),
-psi = log(v/b) instead, which holds at any eps but is several times
-slower.
+Convergence (the row marginal u * K v within the tolerance of a) is
+tested once per block of up to 32 iterations, in one vectorized
+expression over the block's iterates, and the run exits at the first
+iterate that meets it. The iterations the block ran past that one are
+discarded, so the exit, the plan and the gradients are those of a test
+after every iteration. The block shrinks as the groups grow, to one
+iteration from 2^14 cells up.
+
+A run between two changes of the potentials is a segment. At its end,
+its stored iterates are checked once: if a scaling lies outside
+[m/1e150, m*1e150] (m = a or b), the iterates from there on are
+discarded, the last one kept is folded into the potentials
+(f += log(u/a), g += log(v/b)), K is rebuilt, and a new segment goes
+on from u = a, v = b with what is left of the iteration cap. The
+unrolled backward runs one segment at a time, latest first, each with
+its own K, and collects each step's K-shaped term in one product
+K * (U^T X + Y^T V) per segment.
 
 `wasserstein1` returns the value and both gradients. `w1_distance`
 returns the same value from the same iterations, but stops once the plan
 is built: it runs no backward and its `W1Result` carries `None` for
 both gradients. It is for callers that read only the value, such as
-the finite-difference probes of `gradcheck`. Because it forms no
-gradient, it never takes the fallback on a non-finite scaling-domain
-gradient; that is the one case where the two can differ.
+the finite-difference probes of `gradcheck`.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -82,12 +89,6 @@ class W1Result(NamedTuple):
     iterations: int
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
-
-
 def _median_with_support(c: np.ndarray):
     """Median of all entries plus the flat indices/weights realizing it,
     so the median can participate in the backward pass."""
@@ -104,15 +105,17 @@ def _median_with_support(c: np.ndarray):
     return med, idx, wts
 
 
-# Past C/eps = 708, exp(-C/eps) underflows to subnormals and then to 0,
-# and the scaling domain silently loses those entries of K.
-_MAX_SCALING_EXPONENT = 700.0
-_TINY = np.finfo(np.float64).tiny
+# A scaling is folded into the potentials before it leaves
+# [m / bound, m * bound] (m = a or b): two in-range scalings keep every
+# product of the unrolled backward below 1e300 * a * b, even where K
+# underflows.
+_BOUND = 1e150
 
 
-def _within(x: np.ndarray, lo: float, hi: float) -> bool:
-    """Every entry lies in [lo, hi]; False if any is NaN."""
-    return bool(lo <= x.min() and x.max() <= hi)
+def _in_range(x: np.ndarray, m: float) -> np.ndarray:
+    """Per row of x: every entry lies in [m / bound, m * bound]; False
+    if any is NaN."""
+    return ((x >= m / _BOUND) & (x <= m * _BOUND)).all(axis=1)
 
 
 def _check_block(cells: int) -> int:
@@ -123,117 +126,102 @@ def _check_block(cells: int) -> int:
     return max(1, min(32, 2**14 // cells))
 
 
-def _sinkhorn_scaling(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
+def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
     """Plan, d<P, B>/dB (None unless grad), convergence flag and
-    iteration count from Sinkhorn on the scalings u = a e^phi,
-    v = b e^psi, or None when a value leaves the normal float64 range."""
+    iteration count from Sinkhorn on the scalings u, v of the kernel
+    K = exp(f + g - B), with the potentials f, g absorbing any scaling
+    that grows out of range."""
     n1, n0 = b_mat.shape
     a, b = 1.0 / n1, 1.0 / n0
-    k = np.exp(-b_mat)
-    kt = np.ascontiguousarray(k.T)
-
-    # ndarray.dot and ufunc.reduce skip the dispatch of @ and np.max,
-    # which dominates on the few-point groups of the acceptance checks.
-    us, vs, kvs = [], [np.full(n0, b)], []
-    kv = k.dot(vs[0])
+    f, g = np.zeros(n1), np.zeros(n0)
+    if b_mat.max() > math.log(_BOUND):
+        f = b_mat.min(axis=1)
+        g = (b_mat - f[:, None]).min(axis=0)
+    v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
     block = _check_block(n1 * n0)
-    converged = False
-    while not converged and len(us) < cfg.max_iters:
-        for _ in range(min(block, cfg.max_iters - len(us))):
-            u = a / kv
-            v = b / kt.dot(u)
-            kv = k.dot(v)
-            us.append(u)
-            vs.append(v)
-            kvs.append(kv)
-        if cfg.convergence_tol > 0:
-            # u_t * (K v_t) is the row marginal of the plan diag(u_t) K diag(v_t);
-            # exit at the block's first iterate within tol, dropping the rest
-            viol = np.maximum.reduce(np.abs(np.array(us[-len(kvs):]) * kvs - a), axis=1)
-            hit = np.flatnonzero(viol < cfg.convergence_tol)
-            if hit.size:
-                converged = True
-                keep = len(us) - len(kvs) + int(hit[0]) + 1
-                del us[keep:], vs[keep + 1:]
-        kvs.clear()
-    iters = len(us)
-    u, v = us[-1], vs[-1]
-    u_hist, v_hist = np.array(us), np.array(vs)
-    del us, vs
-    # u <= a / tiny exactly when the K v it came from was >= tiny
-    if not (_within(u_hist, _TINY, a / _TINY) and _within(v_hist, _TINY, b / _TINY)):
-        return None
+    segments = []  # (K, K^T, u history, v history from its start) per segment
+    iters = 0
+    while True:
+        k = f[:, None] + g
+        k -= b_mat
+        np.exp(k, out=k)
+        kt = np.ascontiguousarray(k.T)
+        # ndarray.dot and ufunc.reduce skip the dispatch of @ and np.max,
+        # which dominates on the few-point groups of the acceptance checks.
+        us, vs, kvs = [], [v], []
+        kv = k.dot(v)
+        stop = False
+        # the iterates past an overflow are discarded below, and must not warn
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while not stop and iters + len(us) < cfg.max_iters:
+                for _ in range(min(block, cfg.max_iters - iters - len(us))):
+                    u = a / kv
+                    v = b / kt.dot(u)
+                    kv = k.dot(v)
+                    us.append(u)
+                    vs.append(v)
+                    kvs.append(kv)
+                if cfg.convergence_tol > 0:
+                    # u_t * (K v_t) is the row marginal of the plan
+                    # diag(u_t) K diag(v_t); stop at the block's first iterate
+                    # within tol, or with a NaN violation, dropping the rest
+                    viol = np.maximum.reduce(np.abs(np.array(us[-len(kvs):]) * kvs - a), axis=1)
+                    hit = np.flatnonzero(~(viol >= cfg.convergence_tol))
+                    if hit.size:
+                        stop = True
+                        keep = len(us) - len(kvs) + int(hit[0]) + 1
+                        del us[keep:], vs[keep + 1:]
+                kvs.clear()
+        u_hist, v_hist = np.array(us), np.array(vs)
+        del us, vs
+        # Keep the iterates before the first out-of-range one. If there is
+        # one, fold the last kept into the potentials and go on from
+        # u = a, v = b. The first segment always keeps its first iterate;
+        # a later one that kept none would make no progress.
+        ok = _in_range(u_hist, a) & _in_range(v_hist[1:], b)
+        keep = len(ok) if ok.all() else int(np.argmin(ok))
+        if keep == 0:
+            raise NumericError("Sinkhorn scaling left the float64 range")
+        segments.append((k, kt, u_hist[:keep], v_hist[:keep + 1]))
+        iters += keep
+        if keep == len(ok):
+            break
+        f += np.log(u_hist[keep - 1] / a)
+        g += np.log(v_hist[keep] / b)
+        v = np.full(n0, b)
+    converged = stop
 
-    p = u[:, None] * k * v[None, :]
+    p = u_hist[-1][:, None] * k * v_hist[-1][None, :]
     if not grad:
         return p, None, converged, iters
     pb = p * b_mat
     g_phi_plan = pb.sum(axis=1)
     g_psi = pb.sum(axis=0)
-
-    # Step t of the log-domain backward adds diag(u_t) K diag(x_t) and
-    # diag(y_t) K diag(v_{t-1}) to dB, with x_t = e^psi_t * g_psi and
-    # y_t = e^phi_t * g_phi; the loop only carries the two vectors. The
-    # plan's own g_phi enters at the last iterate only; at every earlier
-    # one g_phi is just -u_t * K x_t.
-    eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
-    x_hist, y_hist = np.empty((iters, n0)), np.empty((iters, n1))
-    for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
-            nu[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
-        np.multiply(ev_t, g_psi, out=x)
-        g_phi = nu_t * k.dot(x)
-        if g_phi_plan is not None:
-            g_phi += g_phi_plan
-            g_phi_plan = None
-        np.multiply(eu_t, g_phi, out=y)
-        g_psi = nv_prev * kt.dot(y)
-    g_b = p * (1.0 - b_mat) + k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
-    if not np.all(np.isfinite(g_b)):
-        return None
-    return p, g_b, converged, iters
-
-
-def _sinkhorn_log(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
-    """The same iteration and backward as `_sinkhorn_scaling`, on the
-    potentials phi, psi, so it holds at any C/eps."""
-    n1, n0 = b_mat.shape
-    la = np.full(n1, -math.log(n1))
-    lb = np.full(n0, -math.log(n0))
-
-    phi_hist, psi_hist = [], [np.zeros(n0)]
-    psi = psi_hist[0]
-    converged = False
-    iters = 0
-    for _ in range(cfg.max_iters):
-        phi = -_logsumexp(psi[None, :] + lb[None, :] - b_mat, axis=1)
-        psi = -_logsumexp(phi[:, None] + la[:, None] - b_mat, axis=0)
-        phi_hist.append(phi)
-        psi_hist.append(psi)
-        iters += 1
-        if cfg.convergence_tol > 0:
-            log_p = la[:, None] + lb[None, :] + phi[:, None] + psi[None, :] - b_mat
-            row_marg = np.exp(log_p).sum(axis=1)
-            if np.max(np.abs(row_marg - np.exp(la))) < cfg.convergence_tol:
-                converged = True
-                break
-
-    phi, psi = phi_hist[-1], psi_hist[-1]
-    p = np.exp(la[:, None] + lb[None, :] + phi[:, None] + psi[None, :] - b_mat)
-    if not grad:
-        return p, None, converged, iters
-
-    g_phi = (p * b_mat).sum(axis=1)
-    g_psi = (p * b_mat).sum(axis=0)
     g_b = p * (1.0 - b_mat)
-    for t in range(iters - 1, -1, -1):
-        phi_t, psi_t, psi_prev = phi_hist[t], psi_hist[t + 1], psi_hist[t]
-        n_mat = np.exp(phi_t[:, None] + la[:, None] - b_mat + psi_t[None, :])
-        g_phi = g_phi - n_mat @ g_psi
-        g_b = g_b + n_mat * g_psi[None, :]
-        m_mat = np.exp(psi_prev[None, :] + lb[None, :] - b_mat + phi_t[:, None])
-        g_psi = -(m_mat.T @ g_phi)
-        g_b = g_b + m_mat * g_phi[:, None]
-        g_phi = np.zeros(n1)
+
+    # In the potentials phi = log(u/a), psi = log(v/b), step t of the
+    # backward adds diag(u_t) K diag(x_t) and diag(y_t) K diag(v_{t-1})
+    # to dB, with x_t = e^psi_t * g_psi and y_t = e^phi_t * g_phi; the
+    # loop only carries the two vectors. The plan's own g_phi enters at
+    # the last iterate only; at every earlier one g_phi is just
+    # -u_t * K x_t. Within a segment, phi and psi differ from the logs of
+    # the full scalings u e^f, v e^g by constants, so their adjoints are
+    # those of the full scalings and g_psi carries across segments.
+    for k, kt, u_hist, v_hist in reversed(segments):
+        eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
+        x_hist, y_hist = np.empty((len(u_hist), n0)), np.empty((len(u_hist), n1))
+        for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
+                nu[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
+            np.multiply(ev_t, g_psi, out=x)
+            g_phi = nu_t * k.dot(x)
+            if g_phi_plan is not None:
+                g_phi += g_phi_plan
+                g_phi_plan = None
+            np.multiply(eu_t, g_phi, out=y)
+            g_psi = nv_prev * kt.dot(y)
+        g_b += k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
+    if not np.all(np.isfinite(g_b)):
+        raise NumericError("non-finite Sinkhorn gradient")
     return p, g_b, converged, iters
 
 
@@ -267,13 +255,7 @@ def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
     eps = cfg.entropic_reg * max(scale, 1e-12)
 
     # Gradients are taken in the B = C/eps units.
-    b_mat = c / eps
-    out = None
-    if b_mat.max() <= _MAX_SCALING_EXPONENT:
-        out = _sinkhorn_scaling(b_mat, cfg, grad)
-    if out is None:
-        out = _sinkhorn_log(b_mat, cfg, grad)
-    p, g_b, converged, iters = out
+    p, g_b, converged, iters = _sinkhorn(c / eps, cfg, grad)
     dist = float(np.sum(p * c))
     if not grad:
         return W1Result(dist, None, None, converged, iters)

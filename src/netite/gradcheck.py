@@ -7,13 +7,13 @@ place, evaluates the value only (`objective(..., grad=False)`, which
 takes W1 from `balance.w1_distance`: neither the Sinkhorn backward nor
 the model backward runs), and restores the entry. The representations
 H, and so W1, depend only on the encoder block at the front of theta,
-and every probe restores its entry exactly: so the first probe of a
-head parameter computes W1 and every later head probe passes that
-W1Result back to `objective` instead of running Sinkhorn again on the
-same H. Encoder probes compute W1 each time. The one analytic
-evaluation per instance runs the gradient path. A fixed Sinkhorn
-iteration count (convergence_tol = 0) keeps the objective a
-deterministic smooth function of the parameters.
+and every probe restores its entry exactly: so the probes of head
+parameters pass the W1Result of the one analytic evaluation per
+instance, which runs the gradient path, back to `objective` instead of
+running Sinkhorn again on the same H (`wasserstein1` and `w1_distance`
+give the same `dist` from the same iterations). Encoder probes compute
+W1 each time. A fixed Sinkhorn iteration count (convergence_tol = 0)
+keeps the objective a deterministic smooth function of the parameters.
 """
 
 from __future__ import annotations
@@ -70,19 +70,16 @@ def fd_max_rel_err(seed: int, step: float = 1e-5, alpha: float = 1e-3, lam: floa
     """Max relative error between analytic and central finite-difference
     gradients of the full objective on one random tiny instance."""
     params, ds, train_idx, cfg, ahat = random_tiny_instance(seed, alpha=alpha, lam=lam)
-    g = objective(params, ds, train_idx, cfg, ahat=ahat)[1].theta
+    _, grads, _, _, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
+    g = grads.theta
     theta = params.theta
     # H, and so W1, depends only on the encoder block that leads theta
     encoder_size = sum(w.size + b.size for w, b in zip(params.gcn_weights, params.gcn_biases))
-    head_w1 = None
 
     def value_at(i, v):
-        nonlocal head_w1
         theta[i] = v
-        if i < encoder_size:
-            return objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)[0]
-        loss, _, _, _, head_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False, w1=head_w1)
-        return loss
+        return objective(params, ds, train_idx, cfg, ahat=ahat, grad=False,
+                         w1=None if i < encoder_size else w1)[0]
 
     worst = 0.0
     for i in range(theta.size):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from netite.balance import (
     w1_distance,
     wasserstein1,
 )
-from netite.linalg import make_rng
+from netite.linalg import NumericError, make_rng
 
 TIGHT = SinkhornConfig(entropic_reg=0.01, max_iters=5000, convergence_tol=1e-12)
 
@@ -81,7 +83,7 @@ def test_translation_invariance():
 
 
 # At 0.002, max C/eps reaches 1842 and exp(-C/eps) underflows, so these
-# groups exercise the log-domain fallback.
+# groups run from the shifted start and some absorb scalings.
 @pytest.mark.parametrize("entropic_reg", [0.01, 0.002])
 def test_oracle_agreement_random_groups(entropic_reg):
     cfg = SinkhornConfig(entropic_reg=entropic_reg, max_iters=5000, convergence_tol=1e-12)
@@ -104,9 +106,14 @@ def test_nonnegative():
         assert wasserstein1(a, b, SinkhornConfig()).dist >= -1e-9
 
 
-# 0.01 is the transport-oracle regime: K holds entries near e^-419 and
-# the scalings are large, so an overflow in the backward would show.
-@pytest.mark.parametrize("entropic_reg, max_iters", [(0.2, 200), (0.01, 500)])
+# 0.01 is the transport-oracle regime: K holds entries near e^-171 and
+# the scalings are large, so an overflow in the backward would show. At
+# 0.002 max C/eps is 857, past the plain start: Sinkhorn starts from
+# shifted potentials (the log-domain fallback ran this case before, and
+# missed finite differences by 5.5e-6). At 0.0005 the run absorbs
+# scalings once, close enough to the cap that the gradient through the
+# first segment counts: the backward must carry g_psi across.
+@pytest.mark.parametrize("entropic_reg, max_iters", [(0.2, 200), (0.01, 500), (0.002, 1000), (0.0005, 1200)])
 def test_gradient_matches_finite_differences(entropic_reg, max_iters):
     rng = make_rng(6)
     a, b = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
@@ -124,7 +131,7 @@ def test_gradient_matches_finite_differences(entropic_reg, max_iters):
                 else:
                     fd = (wasserstein1(a, plus, cfg).dist - wasserstein1(a, minus, cfg).dist) / (2 * h)
                 denom = max(abs(grad[i, j]), abs(fd), 1e-6)
-                assert abs(grad[i, j] - fd) / denom < 1e-3
+                assert abs(grad[i, j] - fd) / denom < 1e-6
 
 
 # Six of the nine costs are zero, so the median cost is 0; eps used to
@@ -203,30 +210,37 @@ def gaussian_groups(seed, n1, n0, d):
     return rng.normal(size=(n1, d)), rng.normal(size=(n0, d))
 
 
-# (groups, config, the path it takes). Past max C/eps = 700 Sinkhorn runs
-# in the log domain; oracle group 24 at 0.002 reaches 1842.
+LOG_BOUND = math.log(balance._BOUND)
+
+# (groups, config, the start it takes). Past max C/eps = ln(1e150) = 345
+# Sinkhorn starts from shifted potentials; oracle group 24 at 0.002
+# reaches 1842 and absorbs twice, and "absorbs-once" converges in 1,702
+# iterations after one absorption. The "log-" cases are named for the
+# log-domain iteration that ran them before the one scaling path.
 W1_CASES = {
     "scaling-fixed-iters": (gaussian_groups(6, 4, 3, 2),
-                            SinkhornConfig(entropic_reg=0.2, max_iters=200, convergence_tol=0.0), "scaling"),
+                            SinkhornConfig(entropic_reg=0.2, max_iters=200, convergence_tol=0.0), "plain"),
     "scaling-large-scalings": (gaussian_groups(6, 4, 3, 2),
-                               SinkhornConfig(entropic_reg=0.01, max_iters=500, convergence_tol=0.0), "scaling"),
-    "scaling-converged": (oracle_groups(0), TIGHT, "scaling"),
-    "scaling-unequal-converged": (gaussian_groups(8, 7, 4, 3), SinkhornConfig(), "scaling"),
+                               SinkhornConfig(entropic_reg=0.01, max_iters=500, convergence_tol=0.0), "plain"),
+    "scaling-converged": (oracle_groups(0), TIGHT, "plain"),
+    "scaling-unequal-converged": (gaussian_groups(8, 7, 4, 3), SinkhornConfig(), "plain"),
     "scaling-unconverged-cap": (gaussian_groups(7, 6, 6, 2),
-                                SinkhornConfig(entropic_reg=0.01, max_iters=2, convergence_tol=1e-12), "scaling"),
+                                SinkhornConfig(entropic_reg=0.01, max_iters=2, convergence_tol=1e-12), "plain"),
     "log-converged": (oracle_groups(3), SinkhornConfig(entropic_reg=0.002, max_iters=5000,
-                                                       convergence_tol=1e-12), "log"),
+                                                       convergence_tol=1e-12), "shifted"),
     "log-ratio-1577": (oracle_groups(0), SinkhornConfig(entropic_reg=0.002, max_iters=400,
-                                                        convergence_tol=1e-12), "log"),
+                                                        convergence_tol=1e-12), "shifted"),
     "log-ratio-1842": (oracle_groups(24), SinkhornConfig(entropic_reg=0.002, max_iters=5000,
-                                                         convergence_tol=1e-12), "log"),
+                                                         convergence_tol=1e-12), "shifted"),
+    "absorbs-once": (gaussian_groups(3, 4, 3, 2), SinkhornConfig(entropic_reg=0.001, max_iters=3000,
+                                                                  convergence_tol=1e-10), "shifted"),
 }
 
 
 @pytest.mark.parametrize("case", list(W1_CASES))
 def test_w1_distance_equals_wasserstein1(case):
     (a, b), cfg, path = W1_CASES[case]
-    assert (max_cost_over_eps(a, b, cfg.entropic_reg) > 700) == (path == "log")
+    assert (max_cost_over_eps(a, b, cfg.entropic_reg) > LOG_BOUND) == (path == "shifted")
     value, full = w1_distance(a, b, cfg), wasserstein1(a, b, cfg)
     assert (value.dist, value.converged, value.iterations) == (full.dist, full.converged, full.iterations)
     assert value.grad_treated is None and value.grad_control is None
@@ -288,11 +302,13 @@ def test_w1_oracle_gap_equal_groups(n, d, seed, scale, shift):
 
 
 def reference_sinkhorn_scaling(b_mat, cfg, grad):
-    """`balance._sinkhorn_scaling` as it was before the convergence check
-    ran once per block: one check per iteration, and 0.0 - u_t * K x_t
-    in the backward."""
+    """The scaling path of `balance` before the one Sinkhorn path, as it
+    was before the convergence check ran once per block: K = exp(-C/eps),
+    one check per iteration, and 0.0 - u_t * K x_t in the backward. It
+    fails where that code fell back to the log domain."""
     n1, n0 = b_mat.shape
     a, b = 1.0 / n1, 1.0 / n0
+    assert b_mat.max() <= 700, "the old code ran the log domain here"
     k = np.exp(-b_mat)
     kt = np.ascontiguousarray(k.T)
     us, vs = [], [np.full(n0, b)]
@@ -310,8 +326,8 @@ def reference_sinkhorn_scaling(b_mat, cfg, grad):
     iters = len(us)
     u_hist, v_hist = np.array(us), np.array(vs)
     tiny = np.finfo(np.float64).tiny
-    if not (balance._within(u_hist, tiny, a / tiny) and balance._within(v_hist, tiny, b / tiny)):
-        return None
+    for hist, m in ((u_hist, a), (v_hist, b)):
+        assert tiny <= hist.min() and hist.max() <= m / tiny, "the old code ran the log domain here"
     p = u[:, None] * k * v[None, :]
     if not grad:
         return p, None, converged, iters
@@ -328,8 +344,7 @@ def reference_sinkhorn_scaling(b_mat, cfg, grad):
         g_psi = nv_prev * kt.dot(y)
         g_phi = 0.0
     g_b = p * (1.0 - b_mat) + k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
-    if not np.all(np.isfinite(g_b)):
-        return None
+    assert np.all(np.isfinite(g_b)), "the old code ran the log domain here"
     return p, g_b, converged, iters
 
 
@@ -354,16 +369,21 @@ BLOCK_CASES = {
     "cap-not-a-block-multiple": ([gaussian_groups(1, 4, 4, 2)],
                                  SinkhornConfig(entropic_reg=0.01, max_iters=45, convergence_tol=1e-12), "cap"),
     "2^14-cells-up": ([gaussian_groups(0, 130, 130, 3)], SinkhornConfig(), None),
+    # named for the log-domain fallback that ran it before; it absorbs twice
     "log-fallback": ([oracle_groups(24)], SinkhornConfig(entropic_reg=0.002, max_iters=5000,
                                                          convergence_tol=1e-12), None),
+    "absorbs-once": ([W1_CASES["absorbs-once"][0]], W1_CASES["absorbs-once"][1], None),
 }
 
 
+# The same runs with a convergence check after every iteration. Blocks
+# restart with each segment, and the iterates a block ran past an exit
+# or an overflow are discarded, so the two agree bit for bit.
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_block_convergence_check_matches_per_iteration_check(case, monkeypatch):
     groups, cfg, stop = BLOCK_CASES[case]
     got = [wasserstein1(a, b, cfg) for a, b in groups]
-    monkeypatch.setattr(balance, "_sinkhorn_scaling", reference_sinkhorn_scaling)
+    monkeypatch.setattr(balance, "_check_block", lambda cells: 1)
     want = [wasserstein1(a, b, cfg) for a, b in groups]
     for (a, b), full, ref in zip(groups, got, want):
         assert (full.dist, full.converged, full.iterations) == (ref.dist, ref.converged, ref.iterations)
@@ -376,3 +396,67 @@ def test_block_convergence_check_matches_per_iteration_check(case, monkeypatch):
             assert not full.converged and full.iterations == cfg.max_iters and cfg.max_iters % block != 0
         elif stop is not None:
             assert full.converged and (full.iterations - 1) % block == (0 if stop == "first" else block - 1)
+
+
+def case_groups():
+    for (a, b), cfg, _ in W1_CASES.values():
+        yield a, b, cfg
+    for groups, cfg, _ in BLOCK_CASES.values():
+        for a, b in groups:
+            yield a, b, cfg
+
+
+# Where the old code ran its scaling path (max C/eps <= 700), the one path
+# equals it bit for bit from the plain start. From the shifted start
+# (max C/eps > ln(1e150)) K holds exp(f + g - B), not exp(-B), so the
+# sums round differently: dist is held to 1e-12 relative and the
+# gradients to 1e-10 of their largest entry.
+def test_sinkhorn_matches_old_scaling_path(monkeypatch):
+    starts = set()
+    for a, b, cfg in case_groups():
+        ratio = max_cost_over_eps(a, b, cfg.entropic_reg)
+        if ratio > 700:
+            continue
+        got = wasserstein1(a, b, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(balance, "_sinkhorn", reference_sinkhorn_scaling)
+            want = wasserstein1(a, b, cfg)
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        grads = ((got.grad_treated, want.grad_treated), (got.grad_control, want.grad_control))
+        if ratio <= LOG_BOUND:
+            assert got.dist == want.dist
+            assert all(np.array_equal(g, w) for g, w in grads)
+        else:
+            assert abs(got.dist - want.dist) <= 1e-12 * abs(want.dist)
+            scale = max(np.abs(w).max() for _, w in grads)
+            assert all(np.abs(g - w).max() <= 1e-10 * scale for g, w in grads)
+        starts.add(ratio <= LOG_BOUND)
+    assert starts == {True, False}
+
+
+# `dist` of the cases the old code ran in the log domain, as it computed it.
+# Its gradients there are no reference: they miss central finite
+# differences where the one path's match them (5.5e-6 against 6.4e-9 in
+# test_gradient_matches_finite_differences[0.002-1000]).
+OLD_LOG_DIST = {
+    "log-converged": "0x1.56ef776df770dp-1",
+    "log-ratio-1577": "0x1.b4377fdf02ca8p+0",
+    "log-ratio-1842": "0x1.3cfa49149943ep-1",
+    "absorbs-once": "0x1.0514425828034p+0",
+}
+
+
+@pytest.mark.parametrize("case", list(OLD_LOG_DIST))
+def test_former_log_path_cases_keep_old_distance(case):
+    (a, b), cfg, _ = W1_CASES[case]
+    want = float.fromhex(OLD_LOG_DIST[case])
+    assert abs(wasserstein1(a, b, cfg).dist - want) <= 1e-9 * want
+
+
+# A segment that keeps no iterate would make no progress: it raises
+# instead of looping. A bound of 1 puts every scaling but a, b out of range.
+def test_scaling_out_of_range_at_segment_start_raises(monkeypatch):
+    monkeypatch.setattr(balance, "_BOUND", 1.0)
+    (a, b), cfg, _ = W1_CASES["scaling-fixed-iters"]
+    with pytest.raises(NumericError):
+        w1_distance(a, b, cfg)
