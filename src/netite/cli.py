@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import io as nio
 from .gradcheck import fd_max_rel_err
+from .graph import normalize_adjacency
 from .linalg import NumericError
 from .runner import (
     DegenerateSplitError,
@@ -86,12 +87,17 @@ def cmd_simulate(args) -> int:
 
 
 def _read_dataset(path):
+    """The dataset at path with its ground truth, which every command that reads one needs."""
     try:
-        return nio.read_dataset(path)
+        ds = nio.read_dataset(path)
     except (FileNotFoundError, nio.DatasetVersionError) as exc:
         raise CliError(EXIT_BAD_CONFIG, str(exc))
     except (OSError, ValueError) as exc:
         raise CliError(EXIT_IO, f"cannot read dataset {path}: {exc}")
+    if ds.ycf is None:
+        raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only; ground-truth "
+                       "outcomes are required to report ITE metrics")
+    return ds
 
 
 def _print_results(name: str, rep, report: MetricsReport):
@@ -101,9 +107,6 @@ def _print_results(name: str, rep, report: MetricsReport):
 
 def cmd_train(args) -> int:
     ds = _read_dataset(args.data)
-    if ds.ycf is None:
-        raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only; ground-truth "
-                       "outcomes are required to report ITE metrics")
     try:
         cfg = TrainConfig(
             alpha=args.alpha, lam=getattr(args, "lambda"), learning_rate=args.lr,
@@ -163,8 +166,6 @@ def expand_grid_file(axes: dict, seed: int) -> list:
 
 def cmd_grid(args) -> int:
     ds = _read_dataset(args.data)
-    if ds.ycf is None:
-        raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only")
     try:
         with open(args.grid) as f:
             axes = json.load(f)
@@ -202,8 +203,6 @@ def cmd_grid(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = _read_dataset(args.data)
-    if ds.ycf is None:
-        raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only")
     try:
         params, seed = nio.load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
@@ -213,8 +212,6 @@ def cmd_eval(args) -> int:
     if params.num_features != ds.x.shape[1]:
         raise CliError(EXIT_CHECKPOINT,
                        f"checkpoint expects {params.num_features} features, dataset has {ds.x.shape[1]}")
-    from .graph import normalize_adjacency
-
     split = _make_split_checked(ds, seed)
     splits = evaluate(params, ds, split, normalize_adjacency(ds.net))
     report = MetricsReport(splits=splits)

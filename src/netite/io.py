@@ -33,11 +33,12 @@ Blank lines are skipped; nothing else is.
 Checkpoints are decimal text: a fixed header (format version, seed,
 num_features, gcn_dims, head_dims, value count) followed by the flat
 parameter vector ModelParams.theta, one shortest-round-trip value per
-line, in the order documented on ModelParams. load_checkpoint builds
-ModelParams from the header dims and the values, so a header that does
-not match its values, a dimension below 1 or trailing data raises
-CheckpointError. All floats everywhere are written with repr() so a
-load(save(x)) round trip is bit exact.
+line, in the order documented on ModelParams. Blank lines among the
+values are skipped, as in dataset files. load_checkpoint builds
+ModelParams from the header dims and the values, so a value count other
+than the header's, a header that does not match its values or a
+dimension below 1 raises CheckpointError. All floats everywhere are
+written with repr() so a load(save(x)) round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -209,15 +210,14 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
         f.write("gcn_dims " + ",".join(str(d) for d in params.gcn_dims) + "\n")
         f.write("head_dims " + ",".join(str(d) for d in params.head_dims) + "\n")
         f.write(f"values {theta.size}\n")
-        for v in theta:
-            f.write(_fmt(v) + "\n")
+        f.writelines(f"{v!r}\n" for v in theta.tolist())
 
 
 def load_checkpoint(path):
     """Returns (params, seed). Raises CheckpointError on a corrupt file:
     a malformed or unsupported header, a dimension below 1, an empty dims
-    list, a value count that does not match the dims, an unparsable or
-    missing value, or anything but whitespace after the declared values."""
+    list, a value count that does not match the dims, an unparsable
+    value, or more or fewer values than the header declares."""
     try:
         with open(path) as f:
             header = {}
@@ -226,10 +226,10 @@ def load_checkpoint(path):
                 header[key] = val.strip()
             if int(header["format"]) != FORMAT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint format {header['format']}")
-            count = int(header["values"])
-            theta = np.array([float(f.readline()) for _ in range(count)])
-            if f.read().strip():
-                raise CheckpointError(f"checkpoint {path} has data after its {count} declared values")
+        count = int(header["values"])
+        theta = _load_table(path, np.float64, skiprows=6)
+        if theta.shape != (count,):
+            raise CheckpointError(f"checkpoint {path} holds {theta.size} values, its header declares {count}")
         params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
                              [int(d) for d in header["head_dims"].split(",")], theta)
         return params, int(header["seed"])

@@ -4,9 +4,9 @@ The encoder stacks graph-convolution layers H_l = relu(A_hat (H_{l-1} U_l)
 + b_l) from the feature matrix, weighting before propagating so each
 sparse product runs at the layer's output width. Two output heads (one
 per treatment arm) apply L fully connected ReLU layers and a scalar
-regression layer; each row is routed to the head of its treatment. All
-gradients are exact, reverse-mode and hand written, and end at the first
-layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
+regression layer; each head runs only on the rows of its treatment arm.
+All gradients are exact, reverse-mode and hand written, and end at the
+first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
 from the balancing penalty.
 """
 
@@ -79,9 +79,9 @@ class ForwardTrace:
     enc_inputs: list  # layer inputs H_{l-1}; entry 0 is X itself, not a copy
     enc_pre: list  # pre-activations Z_l
     enc_act: list  # activations H_l; last entry is the representation H
-    head_pre: list  # [t][l] pre-activations
-    head_act: list  # [t][l] activations, entry 0 is H
-    t_assign: np.ndarray
+    head_pre: list  # [t][l] pre-activations over head_rows[t]
+    head_act: list  # [t][l] activations over head_rows[t], entry 0 is H[head_rows[t]]
+    head_rows: list  # [t] indices of the rows routed to head t
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -141,37 +141,35 @@ def _head_forward(params: ModelParams, h: np.ndarray, t: int):
     return yhat, pre, act
 
 
-def predict(params: ModelParams, h: np.ndarray, t_assign: np.ndarray) -> np.ndarray:
-    """Route row i through head t_assign[i]; t_assign = t gives factual
-    predictions, 1 - t gives counterfactual ones."""
-    t_assign = _check_assignment(t_assign, h.shape[0])
-    y0, _, _ = _head_forward(params, h, 0)
-    y1, _, _ = _head_forward(params, h, 1)
-    return np.where(t_assign == 1, y1, y0)
-
-
-def _check_assignment(t_assign, n: int) -> np.ndarray:
+def _route(params: ModelParams, h: np.ndarray, t_assign):
+    """Head t runs on the rows with t_assign == t only, its outputs scattered
+    into one yhat. Returns (yhat, rows, pre, act), the last three per head."""
+    n = h.shape[0]
     t_assign = np.asarray(t_assign)
     if t_assign.shape != (n,):
         raise ShapeError(f"treatment assignment must have shape ({n},), got {t_assign.shape}")
-    if not ((t_assign == 0) | (t_assign == 1)).all():
+    rows = [np.flatnonzero(t_assign == t) for t in (0, 1)]
+    if rows[0].size + rows[1].size != n:
         raise ValueError("treatment assignment values must be in {0, 1}")
-    return t_assign.astype(np.int64)
+    yhat, pre, act = np.empty(n), [], []
+    for t, r in enumerate(rows):
+        yhat[r], pre_t, act_t = _head_forward(params, h[r], t)
+        pre.append(pre_t)
+        act.append(act_t)
+    return yhat, rows, pre, act
+
+
+def predict(params: ModelParams, h: np.ndarray, t_assign: np.ndarray) -> np.ndarray:
+    """Route row i through head t_assign[i]; t_assign = t gives factual
+    predictions, 1 - t gives counterfactual ones."""
+    return _route(params, h, t_assign)[0]
 
 
 def forward(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray, t_assign: np.ndarray):
     """Full pass; returns (yhat, trace) with intermediates for backward."""
-    t_assign = _check_assignment(t_assign, x.shape[0])
     h, enc_inputs, enc_pre, enc_act = encode(params, ahat, x)
-    head_pre, head_act, yhat_head = [], [], []
-    for t in (0, 1):
-        y, pre, act = _head_forward(params, h, t)
-        head_pre.append(pre)
-        head_act.append(act)
-        yhat_head.append(y)
-    yhat = np.where(t_assign == 1, yhat_head[1], yhat_head[0])
-    trace = ForwardTrace(ahat, enc_inputs, enc_pre, enc_act, head_pre, head_act, t_assign)
-    return yhat, trace
+    yhat, rows, head_pre, head_act = _route(params, h, t_assign)
+    return yhat, ForwardTrace(ahat, enc_inputs, enc_pre, enc_act, head_pre, head_act, rows)
 
 
 def backward(
@@ -186,20 +184,20 @@ def backward(
     d(loss)/dH injected by the balancing penalty. Rows routed to head t
     contribute nothing to head 1-t's gradients.
     """
-    n = trace.t_assign.shape[0]
+    h = trace.enc_act[-1]
+    n = h.shape[0]
     grad_yhat = np.asarray(grad_yhat, dtype=np.float64)
     if grad_yhat.shape != (n,):
         raise ShapeError(f"grad_yhat must have shape ({n},), got {grad_yhat.shape}")
     grads = ModelParams(params.num_features, params.gcn_dims, params.head_dims)
-    h = trace.enc_act[-1]
     gh = np.zeros_like(h)
     if grad_h_extra is not None:
         if grad_h_extra.shape != h.shape:
             raise ShapeError(f"grad_h_extra must have shape {h.shape}, got {grad_h_extra.shape}")
-        gh = gh + grad_h_extra
+        gh += grad_h_extra
 
-    for t in (0, 1):
-        gy = np.where(trace.t_assign == t, grad_yhat, 0.0)
+    for t, rows in enumerate(trace.head_rows):
+        gy = grad_yhat[rows]
         act = trace.head_act[t]
         grads.head_out_weights[t][...] = act[-1].T @ gy
         grads.head_out_biases[t][...] = gy.sum()
@@ -209,7 +207,7 @@ def backward(
             grads.head_weights[t][l][...] = act[l].T @ gs
             grads.head_biases[t][l][...] = gs.sum(axis=0)
             ga = gs @ params.head_weights[t][l].T
-        gh = gh + ga
+        gh[rows] += ga
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)

@@ -18,9 +18,11 @@ import scipy.sparse as sp
 from .balance import SinkhornConfig, w1_distance, wasserstein1
 from .graph import identity_adjacency, normalize_adjacency
 from .linalg import make_rng
-from .model import ModelParams, _head_forward, backward, encode, forward, init_params
+from .model import ModelParams, backward, encode, forward, init_params, predict
 from .optim import AdamState, adam_step
 from .simgen import NetworkedDataset
+
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, valid, test parts of make_split
 
 
 class DegenerateSplitError(ValueError):
@@ -64,12 +66,12 @@ class Split:
     test: np.ndarray
 
 
-def make_split(n: int, t: np.ndarray, seed: int, fractions=(0.6, 0.2, 0.2), max_tries: int = 100) -> Split:
+def make_split(n: int, t: np.ndarray, seed: int, max_tries: int = 100) -> Split:
     """Random disjoint exhaustive train/valid/test split; resamples until
     every part contains at least one treated and one control instance."""
     rng = make_rng(seed, stream=7)
-    n_train = int(round(fractions[0] * n))
-    n_valid = int(round(fractions[1] * n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_valid = int(round(SPLIT_FRACTIONS[1] * n))
     for _ in range(max_tries):
         perm = rng.permutation(n)
         split = Split(perm[:n_train], perm[n_train : n_train + n_valid], perm[n_train + n_valid :])
@@ -176,7 +178,7 @@ def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat)
     """Per-split rooted PEHE, ATE error, and factual MSE from one pass
     of each head over every row."""
     h, _, _, _ = encode(params, ahat, dataset.x)
-    y0_hat, y1_hat = (_head_forward(params, h, t)[0] for t in (0, 1))
+    y0_hat, y1_hat = (predict(params, h, np.full(dataset.n, t)) for t in (0, 1))
     tau_hat = y1_hat - y0_hat
     tau = dataset.true_ite()
     yhat_f = np.where(dataset.t == 1, y1_hat, y0_hat)
@@ -259,7 +261,7 @@ def grid_search(dataset: NetworkedDataset, split: Split, grid: list):
     for cfg in grid:
         try:
             params, report = train(dataset, split, cfg)
-        except (DegenerateSplitError, NonFiniteLossError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             cells.append(GridCell(cfg, None, None, error=str(exc)))
             continue
         val = min(report.val_mse_traj) if report.val_mse_traj else report.splits["valid"].factual_mse

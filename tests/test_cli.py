@@ -126,6 +126,15 @@ def test_train_observational_only_rejected(tmp_path, capsys):
     assert "observational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["grid", "--grid", "unread.json"], ["eval", "--checkpoint", "unread.ckpt"]],
+                         ids=["grid", "eval"])
+def test_grid_and_eval_need_ground_truth(tmp_path, capsys, command):
+    out = simulate_dir(tmp_path, extra_args=["--observational-only"], capsys=capsys)
+    rc = main([command[0], "--data", str(out / "rep_0"), *command[1:]])
+    assert rc == 2
+    assert "observational" in capsys.readouterr().err
+
+
 def test_train_ablation_flag_changes_result(tmp_path, capsys):
     out = simulate_dir(tmp_path, capsys=capsys)
     assert main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST]) == 0

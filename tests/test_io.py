@@ -314,6 +314,15 @@ def test_checkpoint_whitespace_after_values_loads(tmp_path):
     assert np.array_equal(nio.load_checkpoint(path)[0].flatten(), p.flatten())
 
 
+def test_checkpoint_blank_lines_among_values_load(tmp_path):
+    p = sample_params()
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, p, seed=0)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:10] + ["", " \t"] + lines[10:]) + "\n")
+    assert nio.load_checkpoint(path)[0].flatten().tobytes() == p.flatten().tobytes()
+
+
 def test_results_rows_format():
     sm = SplitMetrics(pehe_sqrt=1.5, ate_err=0.25, factual_mse=2.0)
     rows = nio.format_results_rows("rep_0", 3, {"train": sm, "valid": sm, "test": sm})

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from netite import io as nio
+from netite import runner
+from netite.gradcheck import random_tiny_instance
 from netite.graph import Network, normalize_adjacency
 from netite.linalg import make_rng
 from netite.model import (
@@ -13,7 +17,9 @@ from netite.model import (
     init_params,
     predict,
 )
-from netite.runner import TrainConfig
+from netite.runner import TrainConfig, make_split, objective
+from netite.simgen import SimConfig, simulate
+from test_acceptance import ORDERING_SIM, ORDERING_TRAIN
 
 
 def small_cfg(**kw):
@@ -234,6 +240,80 @@ def test_gcn_weight_grads_match_left_associated_products():
         assert max_rel_err(grads.gcn_weights[l], inputs[l].T @ gz) < 1e-12
         assert max_rel_err(grads.gcn_biases[l], gz.sum(axis=0)) < 1e-12
         gh = ahat @ (gz @ p.gcn_weights[l].T)
+
+
+def test_forward_runs_each_head_on_its_own_rows():
+    p, ahat, x, _ = wide_first_layer_instance()
+    t = np.array([0, 1, 1, 1, 0, 1, 1, 0])
+    yhat, trace = forward(p, ahat, x, t)
+    for t_val in (0, 1):
+        assert trace.head_act[t_val][0].shape[0] == np.count_nonzero(t == t_val)
+    assert np.array_equal(yhat, predict(p, trace.enc_act[-1], t))
+
+
+def all_rows_forward(p, ahat, x, t):
+    """`forward` as it was when both heads ran over every row and the
+    factual prediction was picked afterwards."""
+    h, enc_inputs, enc_pre, enc_act = encode(p, ahat, x)
+    head_pre, head_act, y = [], [], []
+    for a in (0, 1):
+        act, pre = [h], []
+        for w, b in zip(p.head_weights[a], p.head_biases[a]):
+            pre.append(act[-1] @ w + b)
+            act.append(np.maximum(pre[-1], 0.0))
+        head_pre.append(pre)
+        head_act.append(act)
+        y.append(act[-1] @ p.head_out_weights[a] + p.head_out_biases[a])
+    trace = SimpleNamespace(ahat=ahat, enc_inputs=enc_inputs, enc_pre=enc_pre, enc_act=enc_act,
+                            head_pre=head_pre, head_act=head_act, t=np.asarray(t))
+    return np.where(trace.t == 1, y[1], y[0]), trace
+
+
+def all_rows_backward(p, trace, grad_yhat, grad_h_extra=None):
+    """`backward` as it was: each head's backward over every row, the other
+    arm's rows masked to zero."""
+    grads = ModelParams(p.num_features, p.gcn_dims, p.head_dims)
+    gh = np.zeros_like(trace.enc_act[-1])
+    if grad_h_extra is not None:
+        gh = gh + grad_h_extra
+    for a in (0, 1):
+        gy = np.where(trace.t == a, grad_yhat, 0.0)
+        act = trace.head_act[a]
+        grads.head_out_weights[a][...] = act[-1].T @ gy
+        grads.head_out_biases[a][...] = gy.sum()
+        ga = np.outer(gy, p.head_out_weights[a])
+        for l in range(len(p.head_weights[a]) - 1, -1, -1):
+            gs = np.where(trace.head_pre[a][l] > 0.0, ga, 0.0)
+            grads.head_weights[a][l][...] = act[l].T @ gs
+            grads.head_biases[a][l][...] = gs.sum(axis=0)
+            ga = gs @ p.head_weights[a][l].T
+        gh = gh + ga
+    for l in range(len(p.gcn_weights) - 1, -1, -1):
+        gz = np.where(trace.enc_pre[l] > 0.0, gh, 0.0)
+        gm = trace.ahat @ gz
+        grads.gcn_weights[l][...] = trace.enc_inputs[l].T @ gm
+        grads.gcn_biases[l][...] = gz.sum(axis=0)
+        gh = gm @ p.gcn_weights[l].T
+    return grads
+
+
+def criterion_7_instance():
+    ds = simulate(SimConfig(seed=0, **ORDERING_SIM))
+    cfg = TrainConfig(seed=0, **ORDERING_TRAIN)
+    params = init_params(cfg, ds.x.shape[1], make_rng(0, stream=11))
+    return params, ds, make_split(ds.n, ds.t, 0).train, cfg, normalize_adjacency(ds.net)
+
+
+@pytest.mark.parametrize("instance", [criterion_7_instance, lambda: random_tiny_instance(0)],
+                         ids=["criterion-7", "gradcheck-0"])
+def test_objective_matches_all_rows_heads(monkeypatch, instance):
+    params, ds, train_idx, cfg, ahat = instance()
+    loss, grads = objective(params, ds, train_idx, cfg, ahat=ahat)[:2]
+    monkeypatch.setattr(runner, "forward", all_rows_forward)
+    monkeypatch.setattr(runner, "backward", all_rows_backward)
+    ref_loss, ref_grads = objective(params, ds, train_idx, cfg, ahat=ahat)[:2]
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert np.all(np.abs(grads.theta - ref_grads.theta) <= 1e-12 * np.abs(ref_grads.theta))
 
 
 def test_forward_deterministic():
