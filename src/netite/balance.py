@@ -41,11 +41,16 @@ unrolled backward runs one segment at a time, latest first, each with
 its own K, and collects each step's K-shaped term in one product
 K * (U^T X + Y^T V) per segment.
 
-`wasserstein1` returns the value and both gradients. `w1_distance`
-returns the same value from the same iterations, but stops once the plan
-is built: it runs no backward and its `W1Result` carries `None` for
-both gradients. It is for callers that read only the value, such as
-the finite-difference probes of `gradcheck`.
+`wasserstein1` returns a `W1Result`. Its value, convergence flag and
+iteration count come from the forward iterations alone; a caller that
+reads only those runs no backward. The two gradients are computed on
+the first read of either, by the unrolled backward that `_sinkhorn`
+hands back as a deferred step, and kept. Until then the result holds
+one n1 x n0 buffer, C, and the kept iterates: the backward rebuilds
+B = C/eps, each segment's K and K^T, and the plan with the forward's
+own operations, so the gradients equal bit for bit those of a backward
+run at once. A non-finite gradient raises NumericError at that first
+read.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -53,10 +58,11 @@ suite; it never touches the Sinkhorn path.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -81,12 +87,41 @@ class SinkhornConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-class W1Result(NamedTuple):
-    dist: float
-    grad_treated: np.ndarray | None  # None from w1_distance
-    grad_control: np.ndarray | None
-    converged: bool
-    iterations: int
+class W1Result:
+    """One W1 run. `dist`, `converged` and `iterations` come from the
+    forward iterations. `grad_treated` and `grad_control`, shaped like
+    the two row sets, come from `grads`, a no-argument callable that
+    returns both; it is called on the first read of either, and its
+    result kept. `_replace` works as on a named tuple, and the copy
+    shares the deferred backward, so that still runs at most once."""
+
+    __slots__ = ("dist", "converged", "iterations", "_grads")
+    _fields = ("dist", "grad_treated", "grad_control", "converged", "iterations")
+
+    def __init__(self, dist: float, grads, converged: bool, iterations: int):
+        self.dist, self.converged, self.iterations = dist, converged, iterations
+        self._grads = [grads]  # the callable until the first read, then its result
+
+    def _read(self):
+        if callable(self._grads[0]):
+            self._grads[0] = self._grads[0]()
+        return self._grads[0]
+
+    grad_treated = property(lambda self: self._read()[0])
+    grad_control = property(lambda self: self._read()[1])
+
+    def _replace(self, **changes) -> W1Result:
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise ValueError(f"got unexpected field names: {sorted(unknown)}")
+        new = copy.copy(self)
+        names = ("grad_treated", "grad_control")
+        given = {name: changes.pop(name) for name in names if name in changes}
+        if given:
+            new._grads = [lambda: tuple(given[n] if n in given else getattr(self, n) for n in names)]
+        for name, value in changes.items():
+            setattr(new, name, value)
+        return new
 
 
 def _median_with_support(c: np.ndarray):
@@ -126,11 +161,21 @@ def _check_block(cells: int) -> int:
     return max(1, min(32, 2**14 // cells))
 
 
-def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
-    """Plan, d<P, B>/dB (None unless grad), convergence flag and
-    iteration count from Sinkhorn on the scalings u, v of the kernel
+def _kernel(b_mat: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K = exp(f + g - B), built in one buffer."""
+    k = f[:, None] + g
+    k -= b_mat
+    np.exp(k, out=k)
+    return k
+
+
+def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
+    """Plan, backward step, convergence flag and iteration count from
+    Sinkhorn on B = C/eps, on the scalings u, v of the kernel
     K = exp(f + g - B), with the potentials f, g absorbing any scaling
-    that grows out of range."""
+    that grows out of range. The step is `_sinkhorn_backward` bound to
+    this run; called, it returns d<P, B>/dB."""
+    b_mat = c / eps
     n1, n0 = b_mat.shape
     a, b = 1.0 / n1, 1.0 / n0
     f, g = np.zeros(n1), np.zeros(n0)
@@ -139,12 +184,10 @@ def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
         g = (b_mat - f[:, None]).min(axis=0)
     v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
     block = _check_block(n1 * n0)
-    segments = []  # (K, K^T, u history, v history from its start) per segment
+    segments = []  # (f, g, u history, v history from its start) per segment
     iters = 0
     while True:
-        k = f[:, None] + g
-        k -= b_mat
-        np.exp(k, out=k)
+        k = _kernel(b_mat, f, g)
         kt = np.ascontiguousarray(k.T)
         # ndarray.dot and ufunc.reduce skip the dispatch of @ and np.max,
         # which dominates on the few-point groups of the acceptance checks.
@@ -182,22 +225,34 @@ def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
         keep = len(ok) if ok.all() else int(np.argmin(ok))
         if keep == 0:
             raise NumericError("Sinkhorn scaling left the float64 range")
-        segments.append((k, kt, u_hist[:keep], v_hist[:keep + 1]))
+        segments.append((f, g, u_hist[:keep], v_hist[:keep + 1]))
         iters += keep
         if keep == len(ok):
             break
-        f += np.log(u_hist[keep - 1] / a)
-        g += np.log(v_hist[keep] / b)
+        f = f + np.log(u_hist[keep - 1] / a)
+        g = g + np.log(v_hist[keep] / b)
         v = np.full(n0, b)
-    converged = stop
 
     p = u_hist[-1][:, None] * k * v_hist[-1][None, :]
-    if not grad:
-        return p, None, converged, iters
+    return p, partial(_sinkhorn_backward, c, eps, segments), stop, iters
+
+
+def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
+    """d<P, B>/dB for the `_sinkhorn` run on C/eps that kept `segments`,
+    by unrolling the run's iterations. B, each segment's K and K^T, and
+    the plan are recomputed here with the forward's own operations."""
+    b_mat = c / eps
+    n1, n0 = b_mat.shape
+    a, b = 1.0 / n1, 1.0 / n0
+    f, g, u_hist, v_hist = segments[-1]
+    k = _kernel(b_mat, f, g)
+    p = u_hist[-1][:, None] * k * v_hist[-1][None, :]
     pb = p * b_mat
     g_phi_plan = pb.sum(axis=1)
     g_psi = pb.sum(axis=0)
+    del pb
     g_b = p * (1.0 - b_mat)
+    del p
 
     # In the potentials phi = log(u/a), psi = log(v/b), step t of the
     # backward adds diag(u_t) K diag(x_t) and diag(y_t) K diag(v_{t-1})
@@ -207,7 +262,10 @@ def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
     # -u_t * K x_t. Within a segment, phi and psi differ from the logs of
     # the full scalings u e^f, v e^g by constants, so their adjoints are
     # those of the full scalings and g_psi carries across segments.
-    for k, kt, u_hist, v_hist in reversed(segments):
+    for i, (f, g, u_hist, v_hist) in reversed(list(enumerate(segments))):
+        if i < len(segments) - 1:
+            k = _kernel(b_mat, f, g)
+        kt = np.ascontiguousarray(k.T)
         eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
         x_hist, y_hist = np.empty((len(u_hist), n0)), np.empty((len(u_hist), n1))
         for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
@@ -219,27 +277,20 @@ def _sinkhorn(b_mat: np.ndarray, cfg: SinkhornConfig, grad: bool):
                 g_phi_plan = None
             np.multiply(eu_t, g_phi, out=y)
             g_psi = nv_prev * kt.dot(y)
+        del kt
         g_b += k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
     if not np.all(np.isfinite(g_b)):
         raise NumericError("non-finite Sinkhorn gradient")
-    return p, g_b, converged, iters
+    return g_b
 
 
 def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) -> W1Result:
     """Approximate W1 between the uniform empirical measures on the two
-    row sets, and the gradient of that value with respect to each row."""
-    return _w1(treated, control, cfg, grad=True)
-
-
-def w1_distance(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) -> W1Result:
-    """The `wasserstein1` value, convergence flag and iteration count,
-    without the backward; both gradients are None."""
-    return _w1(treated, control, cfg, grad=False)
-
-
-def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
-    treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
-    control = np.atleast_2d(np.asarray(control, dtype=np.float64))
+    row sets. The gradient of that value with respect to each row is
+    computed on the first read of either gradient field, from copies of
+    the rows taken now."""
+    treated = np.atleast_2d(np.array(treated, dtype=np.float64))
+    control = np.atleast_2d(np.array(control, dtype=np.float64))
     n1, n0 = treated.shape[0], control.shape[0]
     if n1 == 0 or n0 == 0:
         raise DegenerateGroupsError("both treatment groups must be nonempty")
@@ -254,32 +305,33 @@ def _w1(treated, control, cfg: SinkhornConfig, grad: bool) -> W1Result:
         scale, med_idx = float(c.mean()), None
     eps = cfg.entropic_reg * max(scale, 1e-12)
 
-    # Gradients are taken in the B = C/eps units.
-    p, g_b, converged, iters = _sinkhorn(c / eps, cfg, grad)
+    p, sinkhorn_backward, converged, iters = _sinkhorn(c, eps, cfg)
     dist = float(np.sum(p * c))
-    if not grad:
-        return W1Result(dist, None, None, converged, iters)
 
-    # dist(C, eps) = eps * V(C / eps) with V the normalized problem, so
-    # dC = g_b and d_eps = (dist - <g_b, C>) / eps; eps's own dependence
-    # on the median (or mean) cost feeds back into dC.
-    g_c = g_b
-    if scale > 1e-12:
-        g_eps = (dist - float(np.sum(g_c * c))) / eps
-        if med_idx is None:  # the mean weighs every cell 1 / (n1 n0)
-            g_c += g_eps * cfg.entropic_reg / c.size
-        else:
-            flat = g_c.ravel()
-            for i, w in zip(med_idx, med_wts):
-                flat[i] += g_eps * cfg.entropic_reg * w
+    def grads():
+        # Gradients are taken in the B = C/eps units.
+        # dist(C, eps) = eps * V(C / eps) with V the normalized problem, so
+        # dC = g_b and d_eps = (dist - <g_b, C>) / eps; eps's own dependence
+        # on the median (or mean) cost feeds back into dC.
+        g_c = sinkhorn_backward()
+        if scale > 1e-12:
+            g_eps = (dist - float(np.sum(g_c * c))) / eps
+            if med_idx is None:  # the mean weighs every cell 1 / (n1 n0)
+                g_c += g_eps * cfg.entropic_reg / c.size
+            else:
+                flat = g_c.ravel()
+                for i, w in zip(med_idx, med_wts):
+                    flat[i] += g_eps * cfg.entropic_reg * w
 
-    # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
-    # without materializing the n1 x n0 x d unit-vector tensor
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(c > 0.0, g_c / c, 0.0)
-    grad_treated = treated * w.sum(axis=1)[:, None] - w @ control
-    grad_control = control * w.sum(axis=0)[:, None] - w.T @ treated
-    return W1Result(dist, grad_treated, grad_control, converged, iters)
+        # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
+        # without materializing the n1 x n0 x d unit-vector tensor
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(c > 0.0, g_c / c, 0.0)
+        grad_treated = treated * w.sum(axis=1)[:, None] - w @ control
+        grad_control = control * w.sum(axis=0)[:, None] - w.T @ treated
+        return grad_treated, grad_control
+
+    return W1Result(dist, grads, converged, iters)
 
 
 def exact_w1_oracle(treated: np.ndarray, control: np.ndarray) -> float:

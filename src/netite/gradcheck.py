@@ -4,16 +4,15 @@ The oracle is central finite differences of the full objective value; it
 never calls the reverse-mode path, so agreement validates both. Each
 probe perturbs one entry of the flat parameter vector `params.theta` in
 place, evaluates the value only (`objective(..., grad=False)`, which
-takes W1 from `balance.w1_distance`: neither the Sinkhorn backward nor
-the model backward runs), and restores the entry. The representations
-H, and so W1, depend only on the encoder block at the front of theta,
-and every probe restores its entry exactly: so the probes of head
-parameters pass the W1Result of the one analytic evaluation per
-instance, which runs the gradient path, back to `objective` instead of
-running Sinkhorn again on the same H (`wasserstein1` and `w1_distance`
-give the same `dist` from the same iterations). Encoder probes compute
-W1 each time. A fixed Sinkhorn iteration count (convergence_tol = 0)
-keeps the objective a deterministic smooth function of the parameters.
+reads no W1 gradient: neither the Sinkhorn backward nor the model
+backward runs), and restores the entry. The representations H, and so
+W1, depend only on the encoder block at the front of theta, and every
+probe restores its entry exactly: so the probes of head parameters pass
+the W1Result of the one analytic evaluation per instance back to
+`objective` instead of running Sinkhorn again on the same H. Encoder
+probes compute W1 each time. A fixed Sinkhorn iteration count
+(convergence_tol = 0) keeps the objective a deterministic smooth
+function of the parameters.
 """
 
 from __future__ import annotations

@@ -21,13 +21,16 @@ format_version is the integer FORMAT_VERSION, else DatasetVersionError.
 It raises ValueError, prefixed with the file's name, when
   features.mtx  the header is not three non-negative integers, the
                 triplet count (trailing lines included) differs from the
-                header's nnz, a row or column index is out of range, or
-                a cell is listed twice or holds a zero;
+                header's nnz, a row or column index is out of range, a
+                value is not finite, or a cell is listed twice or holds
+                a zero;
   edges.tsv     a line is not two integers, an index is out of range, or
                 an edge is a self-loop;
   nodes.tsv     the header is neither column list, a row has the wrong
                 number of fields, the row count differs from n, the ids
-                are not 0..n-1 each exactly once, or t is not 0 or 1.
+                are not 0..n-1 each exactly once, t is not 0 or 1, or a
+                value of a float column (yf, ycf, mu0, mu1, prob_t) is
+                not finite.
 Blank lines are skipped; nothing else is.
 
 Checkpoints are decimal text: a fixed header (format version, seed,
@@ -36,9 +39,10 @@ parameter vector ModelParams.theta, one shortest-round-trip value per
 line, in the order documented on ModelParams. Blank lines among the
 values are skipped, as in dataset files. load_checkpoint builds
 ModelParams from the header dims and the values, so a value count other
-than the header's, a header that does not match its values or a
-dimension below 1 raises CheckpointError. All floats everywhere are
-written with repr() so a load(save(x)) round trip is bit exact.
+than the header's, a header that does not match its values, a
+dimension below 1 or a non-finite value raises CheckpointError. All
+floats everywhere are written with repr() so a load(save(x)) round trip
+is bit exact.
 """
 
 from __future__ import annotations
@@ -168,6 +172,8 @@ def read_dataset(dirpath) -> NetworkedDataset:
         i, j = trip["i"], trip["j"]
         if np.any((i < 0) | (i >= n) | (j < 0) | (j >= m)):
             raise ValueError(f"triplet index outside the {n}x{m} header shape")
+        if not np.all(np.isfinite(trip["v"])):
+            raise ValueError("a value is not finite")
         x = np.zeros((n, m))
         x[i, j] = trip["v"]
         if np.count_nonzero(x) != nnz:
@@ -195,6 +201,9 @@ def read_dataset(dirpath) -> NetworkedDataset:
             raise ValueError(f"ids are not 0..{n - 1} each exactly once")
         if np.any((rows["t"] != 0) & (rows["t"] != 1)):
             raise ValueError("t must be 0 or 1")
+        for c in header[2:]:
+            if not np.all(np.isfinite(rows[c])):
+                raise ValueError(f"a {c} value is not finite")
         by_id = np.empty_like(rows)
         by_id[ids] = rows
     columns = {c: by_id[c].copy() if c in header else None for c in NODE_COLUMNS_FULL[1:]}
@@ -216,8 +225,8 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 def load_checkpoint(path):
     """Returns (params, seed). Raises CheckpointError on a corrupt file:
     a malformed or unsupported header, a dimension below 1, an empty dims
-    list, a value count that does not match the dims, an unparsable
-    value, or more or fewer values than the header declares."""
+    list, a value count that does not match the dims, an unparsable or
+    non-finite value, or more or fewer values than the header declares."""
     try:
         with open(path) as f:
             header = {}
@@ -230,6 +239,8 @@ def load_checkpoint(path):
         theta = _load_table(path, np.float64, skiprows=6)
         if theta.shape != (count,):
             raise CheckpointError(f"checkpoint {path} holds {theta.size} values, its header declares {count}")
+        if not np.all(np.isfinite(theta)):
+            raise CheckpointError(f"checkpoint {path} holds a non-finite value")
         params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
                              [int(d) for d in header["head_dims"].split(",")], theta)
         return params, int(header["seed"])

@@ -12,6 +12,7 @@ from the balancing penalty.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,16 +48,14 @@ class ModelParams:
         self.num_features, self.gcn_dims, self.head_dims = num_features, gcn_dims, head_dims
         head = _layer_shapes(gcn_dims[-1], head_dims) + [(head_dims[-1],), ()]
         shapes = _layer_shapes(num_features, gcn_dims) + head + head
-        size = sum(math.prod(s) for s in shapes)
+        ends = list(itertools.accumulate(math.prod(s) for s in shapes))
+        size = ends[-1]
         if theta is None:
             theta = np.zeros(size)
         elif theta.shape != (size,):
             raise ShapeError(f"parameter vector has shape {theta.shape}, expected ({size},)")
         self.theta = theta
-        views, pos = [], 0
-        for s in shapes:
-            views.append(theta[pos : pos + math.prod(s)].reshape(s))
-            pos += views[-1].size
+        views = [theta[start:end].reshape(s) for s, start, end in zip(shapes, [0, *ends], ends)]
         g = 2 * len(gcn_dims)
         heads = (views[g : g + len(head)], views[g + len(head) :])
         self.gcn_weights = views[0:g:2]  # layer l: (d_{l-1}, d_l), first is (m, d_1)

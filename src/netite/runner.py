@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .balance import SinkhornConfig, w1_distance, wasserstein1
+from .balance import SinkhornConfig, wasserstein1
 from .graph import identity_adjacency, normalize_adjacency
 from .linalg import make_rng
 from .model import ModelParams, backward, encode, forward, init_params, predict
@@ -125,16 +125,17 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
     """Full objective (see module docstring). Returns the loss, its exact
     gradient (None unless grad), the additive parts, the factual
     predictions for all rows (for validation tracking), and the W1Result
-    (None when W1 was not computed). With grad false, W1 comes from
-    `w1_distance` and neither backward runs; the loss and parts are the
-    same, since the forward code is shared. Reads only x, t, yf from the
-    dataset; counterfactual fields are never inputs.
+    (None when W1 was not computed). The W1 gradients are read, and so
+    the Sinkhorn backward runs, only when grad is true and alpha > 0; a
+    non-finite W1 gradient raises NumericError there. With grad false
+    neither backward runs; the loss and parts are the same, since the
+    forward code is shared. Reads only x, t, yf from the dataset;
+    counterfactual fields are never inputs.
 
     A given `w1` is used as the W1Result of this call's representations
     H instead of computing W1 again, and is returned. The caller vouches
     that H is bit for bit the H that `w1` was computed from, for example
-    because only head parameters changed since; with grad, `w1` must
-    also carry the gradients."""
+    because only head parameters changed since."""
     if ahat is None:
         ahat = normalize_adjacency(dataset.net)
     t = dataset.t
@@ -153,7 +154,7 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
         tr_treated = train_idx[t[train_idx] == 1]
         tr_control = train_idx[t[train_idx] == 0]
         if w1 is None:
-            w1 = (wasserstein1 if grad else w1_distance)(h[tr_treated], h[tr_control], cfg.sinkhorn)
+            w1 = wasserstein1(h[tr_treated], h[tr_control], cfg.sinkhorn)
         ipm = w1.dist
         if grad and cfg.alpha > 0:
             grad_h_extra = np.zeros_like(h)

@@ -323,6 +323,37 @@ def test_malformed_dataset_exits_3(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1 and "nodes.tsv: ids are not" in captured.err
 
 
+@pytest.mark.parametrize("name, row, col", [("features.mtx", 1, 2), ("nodes.tsv", 1, 2), ("nodes.tsv", 2, 3)])
+def test_non_finite_dataset_value_exits_3(tmp_path, capsys, name, row, col):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    path = out / "rep_0" / name
+    lines = path.read_text().splitlines()
+    sep = " " if name == "features.mtx" else "\t"
+    fields = lines[row].split(sep)
+    fields[col] = "nan"
+    lines[row] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"{name}: " in captured.err and "not finite" in captured.err
+
+
+def test_eval_non_finite_checkpoint_exits_6(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt), *TRAIN_FAST]) == 0
+    capsys.readouterr()
+    lines = ckpt.read_text().splitlines()
+    lines[-1] = "nan"
+    ckpt.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt)])
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
 def test_expand_grid_file_reproduces_reference_grid():
     axes = {"lr": [1e-1, 1e-2, 1e-3, 1e-4],
             "out_layers": [1, 2, 3],

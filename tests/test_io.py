@@ -180,6 +180,13 @@ MALFORMED = {
     "repeated cell": ("features.mtx", lambda lines: lines.__setitem__(2, lines[1])),
     "zero value": ("features.mtx", _set_field(1, 2, "0.0")),
     "non-integer edge index": ("edges.tsv", _set_field(0, 1, "1.5")),
+    "NaN feature value": ("features.mtx", _set_field(1, 2, "nan")),
+    "infinite feature value": ("features.mtx", _set_field(3, 2, "-inf")),
+    "NaN yf": ("nodes.tsv", _set_field(1, 2, "nan")),
+    "infinite ycf": ("nodes.tsv", _set_field(2, 3, "inf")),
+    "NaN mu0": ("nodes.tsv", _set_field(3, 4, "nan")),
+    "infinite mu1": ("nodes.tsv", _set_field(4, 5, "-inf")),
+    "NaN prob_t": ("nodes.tsv", _set_field(5, 6, "nan")),
 }
 
 
@@ -245,6 +252,15 @@ def test_checkpoint_garbage_value_raises(tmp_path):
     lines[10] = "not-a-number"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(nio.CheckpointError):
+        nio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_value_raises(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    _edit_lines(path, lambda lines: lines.__setitem__(10, value))
+    with pytest.raises(nio.CheckpointError, match="non-finite"):
         nio.load_checkpoint(path)
 
 

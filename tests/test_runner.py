@@ -196,35 +196,41 @@ def test_objective_uses_given_w1():
         assert objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad, w1=stale)[2]["ipm"] == stale.dist
 
 
-def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat):
+def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat, backward_runs):
+    """The value path equals the gradient path and runs no Sinkhorn
+    backward; the gradient path runs it only with the penalty on."""
+    backward_runs.clear()
     loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
+    assert len(backward_runs) == (cfg.alpha > 0)
     v_loss, v_grads, v_parts, v_yhat, v_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
+    assert objective(params, ds, train_idx, cfg, grad=False)[:3] == (loss, None, parts)
+    assert len(backward_runs) == (cfg.alpha > 0)
     assert (v_loss, v_parts) == (loss, parts)
     assert np.array_equal(v_yhat, yhat)
     assert (v_w1.dist, v_w1.converged, v_w1.iterations) == (w1.dist, w1.converged, w1.iterations)
-    assert grads is not None and v_grads is None and v_w1.grad_treated is None
-    assert objective(params, ds, train_idx, cfg, grad=False)[:3] == (loss, None, parts)
+    assert grads is not None and v_grads is None
 
 
-def test_value_only_objective_on_gradcheck_instances():
+def test_value_only_objective_on_gradcheck_instances(backward_runs):
     from netite.gradcheck import random_tiny_instance
 
     for seed in range(20):
         params, ds, train_idx, cfg, ahat = random_tiny_instance(seed)
-        assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat)
+        assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat, backward_runs)
         probe = params.flatten()
         probe[seed % probe.size] += 1e-5  # a finite-difference probe point
         probe_params = ModelParams(params.num_features, params.gcn_dims, params.head_dims, probe)
-        assert_value_path_equals_gradient_path(probe_params, ds, train_idx, cfg, ahat)
+        assert_value_path_equals_gradient_path(probe_params, ds, train_idx, cfg, ahat, backward_runs)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.0], ids=["penalty-on", "penalty-off-track-ipm"])
-def test_value_only_objective_on_train_instance(alpha):
+def test_value_only_objective_on_train_instance(alpha, backward_runs):
     ds = tiny_dataset()
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(alpha=alpha, track_ipm=True, sinkhorn=SinkhornConfig())
     params = init_params(cfg, ds.x.shape[1], make_rng(6))
-    assert_value_path_equals_gradient_path(params, ds, split.train, cfg, normalize_adjacency(ds.net))
+    assert_value_path_equals_gradient_path(params, ds, split.train, cfg, normalize_adjacency(ds.net),
+                                           backward_runs)
 
 
 # ---- training ----
