@@ -1,11 +1,16 @@
 """Command-line entry point.
 
 Subcommands: simulate, train, grid, eval, gradcheck. Tables go to
-stdout, diagnostics to stderr. Exit codes: 0 success, 2 bad
-configuration, missing input file or unsupported dataset format
-version, 3 I/O failure or malformed dataset file, 4 degenerate split,
-5 non-finite loss, 6 checkpoint mismatch, 7 gradient check failure.
-Every command is deterministic given identical inputs and seed.
+stdout, diagnostics to stderr, and every error is one stderr line.
+Exit codes: 0 success, 2 bad configuration (a count flag below 1
+included), missing input file or unsupported dataset format version,
+3 I/O failure or malformed dataset file, 4 degenerate split,
+5 non-finite loss, floating-point overflow or a grid whose every cell
+failed, 6 checkpoint mismatch, 7 gradient check failure. main runs each
+command under np.errstate (raise on all but underflow) and turns errors
+into codes through EXIT_CODES; a command maps an error itself only where
+its type means another code there. Every command is deterministic given
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io as nio
 from .gradcheck import fd_max_rel_err
@@ -48,16 +55,19 @@ class CliError(Exception):
         self.code = code
 
 
+def _load_json_object(path, what: str) -> dict:
+    try:
+        with open(path) as f:
+            value = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise CliError(EXIT_BAD_CONFIG, f"cannot read {what} {path}: {exc}")
+    if not isinstance(value, dict):
+        raise CliError(EXIT_BAD_CONFIG, f"bad {what} {path}: expected a JSON object")
+    return value
+
+
 def _load_sim_config(path, seed) -> SimConfig:
-    fields = {}
-    if path is not None:
-        try:
-            with open(path) as f:
-                fields = json.load(f)
-        except OSError as exc:
-            raise CliError(EXIT_BAD_CONFIG, f"cannot read config {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_BAD_CONFIG, f"bad config {path}: {exc}")
+    fields = {} if path is None else _load_json_object(path, "config")
     if seed is not None:
         fields["seed"] = seed
     known = {f.name for f in dataclasses.fields(SimConfig)}
@@ -71,6 +81,8 @@ def _load_sim_config(path, seed) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise CliError(EXIT_BAD_CONFIG, f"--reps must be >= 1, got {args.reps}")
     cfg = _load_sim_config(args.config, args.seed)
     out = Path(args.out)
     for rep in range(args.reps):
@@ -107,22 +119,10 @@ def _print_results(name: str, rep, report: MetricsReport):
 
 def cmd_train(args) -> int:
     ds = _read_dataset(args.data)
-    try:
-        cfg = TrainConfig(
-            alpha=args.alpha, lam=getattr(args, "lambda"), learning_rate=args.lr,
-            epochs=args.epochs, gcn_layers=args.gcn_layers, out_layers=args.out_layers,
-            rep_dim=args.dim, hidden_units=args.dim, seed=args.seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"bad training config: {exc}")
-    split = _make_split_checked(ds, cfg.seed)
-    try:
-        runner_fn = ablation_no_network if args.ablation_identity else train
-        params, report = runner_fn(ds, split, cfg)
-    except DegenerateSplitError as exc:
-        raise CliError(EXIT_DEGENERATE_SPLIT, str(exc))
-    except (NonFiniteLossError, NumericError) as exc:
-        raise CliError(EXIT_NONFINITE_LOSS, str(exc))
+    [cfg] = expand_grid_file({k: getattr(args, k) for k in GRID_KEY_MAP}, seed=args.seed)
+    split = make_split(ds.n, ds.t, cfg.seed)
+    runner_fn = ablation_no_network if args.ablation_identity else train
+    params, report = runner_fn(ds, split, cfg)
     if report.sinkhorn_unconverged:
         print(f"warning: Sinkhorn stopped at max_iters={cfg.sinkhorn.max_iters} unconverged in "
               f"{report.sinkhorn_unconverged} of {cfg.epochs} epochs", file=sys.stderr)
@@ -135,20 +135,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _make_split_checked(ds, seed):
-    try:
-        return make_split(ds.n, ds.t, seed)
-    except DegenerateSplitError as exc:
-        raise CliError(EXIT_DEGENERATE_SPLIT, str(exc))
-
-
+# grid file keys and train flags alike, by their argparse dest names
 GRID_KEY_MAP = {"lr": "learning_rate", "lambda": "lam", "alpha": "alpha",
                 "out_layers": "out_layers", "dim": "rep_dim", "gcn_layers": "gcn_layers",
                 "epochs": "epochs"}
 
 
 def expand_grid_file(axes: dict, seed: int) -> list:
-    """Grid file keys use the CLI flag names; "dim" ties the
+    """The one place a TrainConfig is built from CLI input, for grid files
+    and train flags alike. Keys are the train flag names; "dim" ties the
     representation and hidden dimensionality together. Every key,
     epochs included, is an axis; a scalar is a one-value axis."""
     unknown = set(axes) - set(GRID_KEY_MAP)
@@ -158,7 +153,7 @@ def expand_grid_file(axes: dict, seed: int) -> list:
     try:
         cells = expand_grid(TrainConfig(seed=seed, epochs=50), mapped)
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"bad grid value: {exc}")
+        raise CliError(EXIT_BAD_CONFIG, f"bad training config: {exc}")
     if not cells:
         raise CliError(EXIT_BAD_CONFIG, "grid has an empty axis")
     return [dataclasses.replace(c, hidden_units=c.rep_dim) for c in cells]
@@ -166,15 +161,8 @@ def expand_grid_file(axes: dict, seed: int) -> list:
 
 def cmd_grid(args) -> int:
     ds = _read_dataset(args.data)
-    try:
-        with open(args.grid) as f:
-            axes = json.load(f)
-    except OSError as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"cannot read grid {args.grid}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"bad grid file {args.grid}: {exc}")
-    cells = expand_grid_file(axes, seed=args.seed)
-    split = _make_split_checked(ds, args.seed)
+    cells = expand_grid_file(_load_json_object(args.grid, "grid"), seed=args.seed)
+    split = make_split(ds.n, ds.t, args.seed)
     best_cfg, _, best_report, records = grid_search(ds, split, cells)
 
     header = ["lr", "alpha", "lambda", "gcn_layers", "out_layers", "dim", "epochs", "val_mse", "status"]
@@ -203,16 +191,11 @@ def cmd_grid(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = _read_dataset(args.data)
-    try:
-        params, seed = nio.load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_BAD_CONFIG, str(exc))
-    except nio.CheckpointError as exc:
-        raise CliError(EXIT_CHECKPOINT, str(exc))
+    params, seed = nio.load_checkpoint(args.checkpoint)
     if params.num_features != ds.x.shape[1]:
         raise CliError(EXIT_CHECKPOINT,
                        f"checkpoint expects {params.num_features} features, dataset has {ds.x.shape[1]}")
-    split = _make_split_checked(ds, seed)
+    split = make_split(ds.n, ds.t, seed)
     splits = evaluate(params, ds, split, normalize_adjacency(ds.net))
     report = MetricsReport(splits=splits)
     _print_results(Path(args.data).name, seed, report)
@@ -220,6 +203,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise CliError(EXIT_BAD_CONFIG, f"--instances must be >= 1, got {args.instances}")
     worst = max(fd_max_rel_err(args.seed + k) for k in range(args.instances))
     print(f"max_rel_err\t{worst:.3e}")
     if worst >= 1e-4:
@@ -276,13 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+EXIT_CODES = {FileNotFoundError: EXIT_BAD_CONFIG, DegenerateSplitError: EXIT_DEGENERATE_SPLIT,
+              NonFiniteLossError: EXIT_NONFINITE_LOSS, NumericError: EXIT_NONFINITE_LOSS,
+              FloatingPointError: EXIT_NONFINITE_LOSS, nio.CheckpointError: EXIT_CHECKPOINT}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CliError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
+    except (CliError, *EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else next(
+            EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -24,8 +24,9 @@ It raises ValueError, prefixed with the file's name, when
                 header's nnz, a row or column index is out of range, a
                 value is not finite, or a cell is listed twice or holds
                 a zero;
-  edges.tsv     a line is not two integers, an index is out of range, or
-                an edge is a self-loop;
+  edges.tsv     a line is not two integers, an index is out of range, an
+                edge is a self-loop, or an edge is listed twice or as
+                i > j;
   nodes.tsv     the header is neither column list, a row has the wrong
                 number of fields, the row count differs from n, the ids
                 are not 0..n-1 each exactly once, t is not 0 or 1, or a
@@ -185,6 +186,8 @@ def read_dataset(dirpath) -> NetworkedDataset:
         if pairs.size and pairs.shape[1] != 2:
             raise ValueError(f"lines hold {pairs.shape[1]} fields, expected 2")
         net = Network.from_pairs(n, pairs)
+        if pairs.size and (net.num_edges != pairs.shape[0] or np.any(pairs[:, 0] > pairs[:, 1])):
+            raise ValueError("an edge is listed twice or as i > j")
 
     path = dirpath / "nodes.tsv"
     with _blame(path):

@@ -254,15 +254,17 @@ class GridCell:
 def grid_search(dataset: NetworkedDataset, split: Split, grid: list):
     """Train every cell, select by validation factual MSE of the selected
     epoch; a failing cell is recorded and skipped. Returns
-    (best_cfg, best_params, best_report, cells)."""
+    (best_cfg, best_params, best_report, cells). When every cell fails,
+    raises an error of the first cell's error type that names it."""
     if not grid:
         raise ValueError("grid must be nonempty")
     cells = []
-    best = None
+    best = first_error = None
     for cfg in grid:
         try:
             params, report = train(dataset, split, cfg)
         except (ValueError, ArithmeticError) as exc:
+            first_error = first_error or exc
             cells.append(GridCell(cfg, None, None, error=str(exc)))
             continue
         val = min(report.val_mse_traj) if report.val_mse_traj else report.splits["valid"].factual_mse
@@ -270,6 +272,6 @@ def grid_search(dataset: NetworkedDataset, split: Split, grid: list):
         if best is None or val < best[0]:
             best = (val, cfg, params, report)
     if best is None:
-        raise RuntimeError("every grid cell failed")
+        raise type(first_error)(f"every grid cell failed; the first: {first_error}") from first_error
     _, best_cfg, best_params, best_report = best
     return best_cfg, best_params, best_report, cells

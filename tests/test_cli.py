@@ -63,6 +63,27 @@ def test_simulate_malformed_json(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, extra", [("5", []), ("[]", ["--seed", "3"])], ids=["number", "list-with-seed"])
+def test_simulate_config_not_an_object_exits_2(tmp_path, capsys, text, extra):
+    path = tmp_path / "sim.json"
+    path.write_text(text)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "d"), *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "JSON object" in captured.err
+
+
+@pytest.mark.parametrize("args", [["gradcheck", "--instances", "0"], ["simulate", "--out", "d", "--reps", "0"]],
+                         ids=["instances", "reps"])
+def test_count_flag_below_one_exits_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    rc = main(args)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "must be >= 1" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_no_confounding_balanced(tmp_path, capsys):
     cfg = write_sim_config(tmp_path, n=400, kappa1=0.0, kappa2=0.0)
     out = tmp_path / "d"
@@ -174,6 +195,21 @@ def test_train_bad_config_exits_2(tmp_path, capsys, flags):
     assert captured.out == "" and captured.err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_train_overflow_exits_5(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    nodes = out / "rep_0" / "nodes.tsv"
+    lines = nodes.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[2] = "1e308"  # yf: finite, but its square overflows
+    lines[1] = "\t".join(fields)
+    nodes.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "overflow" in captured.err
+
+
 def test_train_warns_on_unconverged_sinkhorn(tmp_path, capsys, monkeypatch):
     import netite.runner
 
@@ -268,6 +304,18 @@ def test_grid_unknown_axis(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_every_cell_failing_exits_5(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lr": [1e300], "epochs": 3}))
+    rc = main(["grid", "--data", str(out / "rep_0"), "--grid", str(grid)])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "every grid cell failed; the first: overflow" in captured.err
+
+
 def test_expand_grid_file_epochs_is_an_axis():
     cells = expand_grid_file({"epochs": [5, 500], "lr": [1e-2, 1e-3]}, seed=0)
     assert [(c.epochs, c.learning_rate) for c in cells] == [(5, 1e-2), (5, 1e-3),
@@ -276,7 +324,7 @@ def test_expand_grid_file_epochs_is_an_axis():
     assert [c.epochs for c in expand_grid_file({"lr": [1e-2]}, seed=0)] == [50]
 
 
-@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}, {"lr": ["fast"]}, {"lr": [-1.0]}])
+@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}, {"lr": ["fast"]}, {"lr": [-1.0]}, 5])
 def test_grid_bad_axis_value_exits_2(tmp_path, capsys, axes):
     out = simulate_dir(tmp_path, capsys=capsys)
     grid = tmp_path / "grid.json"

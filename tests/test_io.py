@@ -180,6 +180,8 @@ MALFORMED = {
     "repeated cell": ("features.mtx", lambda lines: lines.__setitem__(2, lines[1])),
     "zero value": ("features.mtx", _set_field(1, 2, "0.0")),
     "non-integer edge index": ("edges.tsv", _set_field(0, 1, "1.5")),
+    "duplicated edge": ("edges.tsv", lambda lines: lines.append(lines[0])),
+    "reversed edge": ("edges.tsv", lambda lines: lines.__setitem__(0, "\t".join(lines[0].split("\t")[::-1]))),
     "NaN feature value": ("features.mtx", _set_field(1, 2, "nan")),
     "infinite feature value": ("features.mtx", _set_field(3, 2, "-inf")),
     "NaN yf": ("nodes.tsv", _set_field(1, 2, "nan")),
