@@ -29,7 +29,13 @@ expression over the block's iterates, and the run exits at the first
 iterate that meets it. The iterations the block ran past that one are
 discarded, so the exit, the plan and the gradients are those of a test
 after every iteration. The block shrinks as the groups grow, to one
-iteration from 2^14 cells up.
+iteration from 2^14 cells up. Each block fills its own u, v and K v
+arrays in place, joined once per segment, so no buffer grows with the
+cap. A block that does not converge and whose last v equals the one
+before it bit for bit (NaN never does) has reached a fixed point: every
+later u = a / (K v) and v = b / (K^T u) repeats the last pair, so the
+run stops and copies that pair up to the cap, the very history the full
+run would build, and every result is unchanged.
 
 A run between two changes of the potentials is a segment. At its end,
 its stored iterates are checked once: if a scaling lies outside
@@ -189,33 +195,45 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     while True:
         k = _kernel(b_mat, f, g)
         kt = np.ascontiguousarray(k.T)
-        # ndarray.dot and ufunc.reduce skip the dispatch of @ and np.max,
-        # which dominates on the few-point groups of the acceptance checks.
-        us, vs, kvs = [], [v], []
+        # ndarray.dot, ufunc.reduce, 0-d operands and a positional out skip call
+        # overheads that dominate on the few-point groups of the acceptance checks.
+        a0, b0 = np.array(a), np.array(b)
+        us, vs = [], [v[None]]  # the segment's blocks of iterates
         kv = k.dot(v)
-        stop = False
+        done, stop = 0, False
         # the iterates past an overflow are discarded below, and must not warn
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            while not stop and iters + len(us) < cfg.max_iters:
-                for _ in range(min(block, cfg.max_iters - iters - len(us))):
-                    u = a / kv
-                    v = b / kt.dot(u)
-                    kv = k.dot(v)
-                    us.append(u)
-                    vs.append(v)
-                    kvs.append(kv)
+            while not stop and iters + done < cfg.max_iters:
+                m = min(block, cfg.max_iters - iters - done)
+                u_blk, v_blk, kv_blk = np.empty((m, n1)), np.empty((m, n0)), np.empty((m, n1))
+                v_before = v_blk[m - 2] if m > 1 else v
+                for u, v, kv_next in zip(u_blk, v_blk, kv_blk):
+                    np.divide(a0, kv, u)
+                    kt.dot(u, out=v)
+                    np.divide(b0, v, v)
+                    kv = k.dot(v, out=kv_next)
+                done += m
                 if cfg.convergence_tol > 0:
                     # u_t * (K v_t) is the row marginal of the plan
                     # diag(u_t) K diag(v_t); stop at the block's first iterate
                     # within tol, or with a NaN violation, dropping the rest
-                    viol = np.maximum.reduce(np.abs(np.array(us[-len(kvs):]) * kvs - a), axis=1)
-                    hit = np.flatnonzero(~(viol >= cfg.convergence_tol))
+                    viol = np.maximum.reduce(np.abs(u_blk * kv_blk - a0), axis=1)
+                    hit = (~(viol >= cfg.convergence_tol)).nonzero()[0]
                     if hit.size:
-                        stop = True
-                        keep = len(us) - len(kvs) + int(hit[0]) + 1
-                        del us[keep:], vs[keep + 1:]
-                kvs.clear()
-        u_hist, v_hist = np.array(us), np.array(vs)
+                        stop, kept = True, int(hit[0]) + 1
+                        done -= m - kept
+                        u_blk, v_blk = u_blk[:kept], v_blk[:kept]
+                us.append(u_blk)
+                vs.append(v_blk)
+                if not stop and iters + done < cfg.max_iters and (v == v_before).all():
+                    # a fixed point: the rest of the run repeats this u, v
+                    rest = cfg.max_iters - iters - done
+                    us.append(np.broadcast_to(u, (rest, n1)))
+                    vs.append(np.broadcast_to(v, (rest, n0)))
+                    done += rest
+        # out= keeps C order, which the backward's products round by; one-row blocks beside copies join in F
+        u_hist = np.concatenate(us, out=np.empty((done, n1)))
+        v_hist = np.concatenate(vs, out=np.empty((done + 1, n0)))
         del us, vs
         # Keep the iterates before the first out-of-range one. If there is
         # one, fold the last kept into the potentials and go on from

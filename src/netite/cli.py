@@ -90,10 +90,7 @@ def cmd_simulate(args) -> int:
             ds = simulate(cfg, stream=rep)
         except NumericError as exc:
             raise CliError(EXIT_BAD_CONFIG, f"bad config: {exc}")
-        try:
-            nio.write_dataset(out / f"rep_{rep}", ds, cfg, observational_only=args.observational_only)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write {out / f'rep_{rep}'}: {exc}")
+        nio.write_dataset(out / f"rep_{rep}", ds, cfg, observational_only=args.observational_only)
         print(f"rep_{rep}\tn={ds.n}\tedges={ds.net.num_edges}\ttreated={int(ds.t.sum())}")
     return 0
 
@@ -129,7 +126,7 @@ def cmd_train(args) -> int:
     if args.checkpoint:
         try:
             nio.save_checkpoint(args.checkpoint, params, cfg.seed)
-        except OSError as exc:
+        except OSError as exc:  # a missing directory is an I/O failure here, not a missing input
             raise CliError(EXIT_IO, f"cannot write checkpoint {args.checkpoint}: {exc}")
     _print_results(Path(args.data).name, args.seed, report)
     return 0
@@ -181,11 +178,8 @@ def cmd_grid(args) -> int:
              nio._fmt(best_cfg.lam), best_cfg.out_layers, best_cfg.rep_dim, best_cfg.epochs))
     _print_results(Path(args.data).name, args.seed, best_report)
     if args.out:
-        try:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "grid.tsv").write_text(grid_table)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write grid.tsv: {exc}")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        (Path(args.out) / "grid.tsv").write_text(grid_table)
     return 0
 
 
@@ -261,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-EXIT_CODES = {FileNotFoundError: EXIT_BAD_CONFIG, DegenerateSplitError: EXIT_DEGENERATE_SPLIT,
+# looked up along the exception's MRO: FileNotFoundError is 2, any other OSError 3
+EXIT_CODES = {FileNotFoundError: EXIT_BAD_CONFIG, OSError: EXIT_IO, DegenerateSplitError: EXIT_DEGENERATE_SPLIT,
               NonFiniteLossError: EXIT_NONFINITE_LOSS, NumericError: EXIT_NONFINITE_LOSS,
               FloatingPointError: EXIT_NONFINITE_LOSS, nio.CheckpointError: EXIT_CHECKPOINT}
 

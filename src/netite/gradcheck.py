@@ -12,7 +12,8 @@ the W1Result of the one analytic evaluation per instance back to
 `objective` instead of running Sinkhorn again on the same H. Encoder
 probes compute W1 each time. A fixed Sinkhorn iteration count
 (convergence_tol = 0) keeps the objective a deterministic smooth
-function of the parameters.
+function of the parameters, even where Sinkhorn stops computing at a
+bitwise fixed point: it still unrolls the full count.
 """
 
 from __future__ import annotations

@@ -299,21 +299,25 @@ def test_w1_memory_unread_and_read():
     and rebuilds B, K, K^T and the plan when a gradient is first read;
     keeping those four as well held 5 n1 x n0 buffers. The forward and
     the backward each peak near 6.4 such buffers, against 9.4 when the
-    backward ran at once. tracemalloc counts numpy's buffers and only
-    this test's allocations."""
+    backward ran at once. Both runs converge in 29 iterations, so a cap
+    of 100,000 must cost no more than one of 300: no buffer may be sized
+    by the cap. tracemalloc counts numpy's buffers and only this test's
+    allocations."""
     a, b = gaussian_groups(0, 600, 600, 3)
     unit = a.shape[0] * b.shape[0] * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        res = wasserstein1(a, b, SinkhornConfig())
-        held = tracemalloc.get_traced_memory()[0] - base
-        res.grad_treated
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert held < 2 * unit
-    assert peak < 7 * unit
+    for max_iters in (300, 100_000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = wasserstein1(a, b, SinkhornConfig(max_iters=max_iters))
+            held = tracemalloc.get_traced_memory()[0] - base
+            res.grad_treated
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations < 300
+        assert held < 2 * unit
+        assert peak < 7 * unit
 
 
 # Property tests of the W1 invariants. Coordinates lie on a grid of
@@ -446,6 +450,9 @@ BLOCK_CASES = {
     "log-fallback": ([oracle_groups(24)], SinkhornConfig(entropic_reg=0.002, max_iters=5000,
                                                          convergence_tol=1e-12), None),
     "absorbs-once": ([W1_CASES["absorbs-once"][0]], W1_CASES["absorbs-once"][1], None),
+    # v repeats bit for bit from iteration 42, mid-block, short of a 1e-18 tolerance
+    "fixed-point-tol-1e-18": ([gaussian_groups(1, 2, 3, 2)],
+                              SinkhornConfig(entropic_reg=0.2, max_iters=150, convergence_tol=1e-18), "cap"),
 }
 
 
@@ -469,6 +476,39 @@ def test_block_convergence_check_matches_per_iteration_check(case, monkeypatch):
             assert not full.converged and full.iterations == cfg.max_iters and cfg.max_iters % block != 0
         elif stop is not None:
             assert full.converged and (full.iterations - 1) % block == (0 if stop == "first" else block - 1)
+
+
+def fixed_from(a, b, cfg):
+    """The first iteration whose v the next one repeats bit for bit, from
+    the plain start with the operations of `reference_sinkhorn_scaling`,
+    or None within the cap."""
+    c = cdist(a, b)
+    k = np.exp(-(c / (cfg.entropic_reg * _median_with_support(c)[0])))
+    kt = np.ascontiguousarray(k.T)
+    v = np.full(b.shape[0], 1.0 / b.shape[0])
+    for t in range(cfg.max_iters):
+        v, before = (1.0 / b.shape[0]) / kt.dot((1.0 / a.shape[0]) / k.dot(v)), v
+        if np.array_equal(v, before):
+            return t
+    return None
+
+
+# Runs that reach a fixed point without converging: `_sinkhorn` stops
+# there and copies the last iterate up to the cap. The block and
+# old-path tests hold each to the runs that compute every iteration.
+FIXED_FROM = {"scaling-fixed-iters": 58, "scaling-large-scalings": 262, "tol-0": 58, "fixed-point-tol-1e-18": 42}
+
+
+@pytest.mark.parametrize("case", list(FIXED_FROM))
+def test_unconverged_cases_reach_a_fixed_point(case):
+    if case in W1_CASES:
+        (a, b), cfg, _ = W1_CASES[case]
+    else:
+        [(a, b)], cfg, _ = BLOCK_CASES[case]
+    assert fixed_from(a, b, cfg) == FIXED_FROM[case] < cfg.max_iters - 1
+    assert (cfg.convergence_tol > 0) == case.endswith("1e-18")
+    res = wasserstein1(a, b, cfg)
+    assert not res.converged and res.iterations == cfg.max_iters
 
 
 def case_groups():

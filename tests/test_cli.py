@@ -421,3 +421,22 @@ def test_gradcheck_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith("max_rel_err\t")
     assert float(out.split("\t")[1]) < 1e-4
+
+
+# A missing checkpoint is a missing input (exit 2); any other file that
+# cannot be read or written is an I/O failure (exit 3), the train
+# checkpoint's missing directory included. Each is one stderr line.
+@pytest.mark.parametrize("args, code", [
+    (["eval", "--data", "data/rep_0", "--checkpoint", "."], 3),
+    (["eval", "--data", "data/rep_0", "--checkpoint", "missing.ckpt"], 2),
+    (["train", "--data", "data/rep_0", "--checkpoint", "no_dir/model.ckpt", *TRAIN_FAST], 3),
+    (["grid", "--data", "data/rep_0", "--grid", "grid.json", "--out", "sim.json"], 3),
+    (["simulate", "--config", "sim.json", "--out", "sim.json", "--reps", "1"], 3),
+], ids=["eval-directory", "eval-missing", "train-unwritable", "grid-unwritable", "simulate-unwritable"])
+def test_unusable_paths(tmp_path, capsys, monkeypatch, args, code):
+    simulate_dir(tmp_path, capsys=capsys)
+    (tmp_path / "grid.json").write_text(json.dumps({"epochs": [1], "dim": [4]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
