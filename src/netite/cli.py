@@ -2,9 +2,9 @@
 
 Subcommands: simulate, train, grid, eval, gradcheck. Tables go to
 stdout, diagnostics to stderr, and every error is one stderr line.
-Exit codes: 0 success, 2 bad configuration (a count flag below 1
-included), missing input file or unsupported dataset format version,
-3 I/O failure or malformed dataset file, 4 degenerate split,
+Exit codes: 0 success, 2 bad configuration (a count flag below 1 or a
+negative seed too), missing input file or unsupported dataset format
+version, 3 I/O failure or malformed dataset file, 4 degenerate split,
 5 non-finite loss, floating-point overflow or a grid whose every cell
 failed, 6 checkpoint mismatch, 7 gradient check failure. main runs each
 command under np.errstate (raise on all but underflow) and turns errors
@@ -199,6 +199,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise CliError(EXIT_BAD_CONFIG, f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise CliError(EXIT_BAD_CONFIG, f"--seed must be >= 0, got {args.seed}")
     worst = max(fd_max_rel_err(args.seed + k) for k in range(args.instances))
     print(f"max_rel_err\t{worst:.3e}")
     if worst >= 1e-4:

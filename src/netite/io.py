@@ -37,7 +37,8 @@ Blank lines are skipped; nothing else is.
 Checkpoints are decimal text: a fixed header (format version, seed,
 num_features, gcn_dims, head_dims, value count) followed by the flat
 parameter vector ModelParams.theta, one shortest-round-trip value per
-line, in the order documented on ModelParams. Blank lines among the
+line, in the order documented on ModelParams. head_dims lists the hidden
+widths only; each head's regression layer, of width 1, follows them. Blank lines among the
 values are skipped, as in dataset files. load_checkpoint builds
 ModelParams from the header dims and the values, so a value count other
 than the header's, a header that does not match its values, a

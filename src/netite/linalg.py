@@ -1,4 +1,4 @@
-"""Shape and numeric error types, seeded RNG construction, and ReLU.
+"""Shape and numeric error types, config field checks, seeded RNGs, ReLU.
 
 Everything here is float64 and pure: functions never mutate their inputs,
 so they are safe to call from multiple threads. RNG generators are
@@ -6,6 +6,9 @@ single-owner; parallel work should use distinct stream ids.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -16,6 +19,21 @@ class ShapeError(ValueError):
 
 class NumericError(ValueError):
     """A non-finite value appeared where a finite one is required."""
+
+
+def check_fields(obj, names: str, low=None, *, integer: bool = False, strict: bool = False) -> None:
+    """Raise ValueError unless every field of obj named in `names` (space
+    separated) is an integer (integer=True) or a finite real number, never
+    a bool, and is >= low (> low when strict)."""
+    for name in names.split():
+        value = getattr(obj, name)
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
+              and (integer or math.isfinite(value)))
+        if ok and low is not None:
+            ok = value > low if strict else value >= low
+        if not ok:
+            bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+            raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

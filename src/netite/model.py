@@ -3,8 +3,8 @@
 The encoder stacks graph-convolution layers H_l = relu(A_hat (H_{l-1} U_l)
 + b_l) from the feature matrix, weighting before propagating so each
 sparse product runs at the layer's output width. Two output heads (one
-per treatment arm) apply L fully connected ReLU layers and a scalar
-regression layer; each head runs only on the rows of its treatment arm.
+per treatment arm) apply L fully connected ReLU layers, then a linear
+regression layer of width 1; each runs only on its treatment arm's rows.
 All gradients are exact, reverse-mode and hand written, and end at the
 first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
 from the balancing penalty.
@@ -32,12 +32,13 @@ class ModelParams:
 
     The constructor is the only code that knows the order, which is also
     the checkpoint order: for each encoder layer, weight then bias; then
-    for head 0 and head 1 in that order: for each hidden layer, weight
-    then bias; then the regression weight vector and the regression bias
-    (a 0-d view). The encoder block thus leads theta, and the
-    representations H depend on nothing after it. Writing into a view
-    (`w[...] = ...`) writes into `theta`; rebinding a list entry would
-    detach it. `flatten` returns a copy of `theta`.
+    for head 0 and head 1 in that order: for each layer, weight then bias.
+    A head's layers are its hidden layers (widths head_dims) and, last,
+    the regression layer: an (h_L, 1) weight and a (1,) bias. The encoder
+    block thus leads theta, and the representations H depend on nothing
+    after it. Writing into a view (`w[...] = ...`) writes into `theta`;
+    rebinding a list entry would detach it. `flatten` returns a copy of
+    `theta`.
     """
 
     def __init__(self, num_features: int, gcn_dims, head_dims, theta: np.ndarray | None = None):
@@ -46,7 +47,7 @@ class ModelParams:
             raise ValueError(f"dimensions must be >= 1 and the dims lists nonempty, got "
                              f"num_features={num_features} gcn_dims={gcn_dims} head_dims={head_dims}")
         self.num_features, self.gcn_dims, self.head_dims = num_features, gcn_dims, head_dims
-        head = _layer_shapes(gcn_dims[-1], head_dims) + [(head_dims[-1],), ()]
+        head = _layer_shapes(gcn_dims[-1], [*head_dims, 1])
         shapes = _layer_shapes(num_features, gcn_dims) + head + head
         ends = list(itertools.accumulate(math.prod(s) for s in shapes))
         size = ends[-1]
@@ -60,10 +61,8 @@ class ModelParams:
         heads = (views[g : g + len(head)], views[g + len(head) :])
         self.gcn_weights = views[0:g:2]  # layer l: (d_{l-1}, d_l), first is (m, d_1)
         self.gcn_biases = views[1:g:2]  # (d_l,)
-        self.head_weights = [v[0:-2:2] for v in heads]  # [t][l]: (h_{l-1}, h_l), first is (d, h_1)
-        self.head_biases = [v[1:-2:2] for v in heads]  # [t][l]: (h_l,)
-        self.head_out_weights = [v[-2] for v in heads]  # [t]: (h_L,)
-        self.head_out_biases = [v[-1] for v in heads]  # [t]: 0-d
+        self.head_weights = [v[0::2] for v in heads]  # [t][l]: (h_{l-1}, h_l), first (d, h_1), last (h_L, 1)
+        self.head_biases = [v[1::2] for v in heads]  # [t][l]: (h_l,), last (1,)
 
     def flatten(self) -> np.ndarray:
         """A copy of theta."""
@@ -75,10 +74,9 @@ class ForwardTrace:
     """Intermediates retained by `forward` for the backward pass."""
 
     ahat: sp.csr_matrix
-    enc_inputs: list  # layer inputs H_{l-1}; entry 0 is X itself, not a copy
     enc_pre: list  # pre-activations Z_l
-    enc_act: list  # activations H_l; last entry is the representation H
-    head_pre: list  # [t][l] pre-activations over head_rows[t]
+    enc_act: list  # activations, entry 0 is X itself (not a copy), last is the representation H
+    head_pre: list  # [t][l] pre-activations of the ReLU layers over head_rows[t]
     head_act: list  # [t][l] activations over head_rows[t], entry 0 is H[head_rows[t]]
     head_rows: list  # [t] indices of the rows routed to head t
 
@@ -96,48 +94,42 @@ def init_params(cfg, num_features: int, rng: np.random.Generator) -> ModelParams
     hidden_units.
     """
     params = ModelParams(num_features, [cfg.rep_dim] * cfg.gcn_layers, [cfg.hidden_units] * cfg.out_layers)
-    for w in params.gcn_weights:
+    for w in params.gcn_weights + params.head_weights[0] + params.head_weights[1]:
         w[...] = glorot_uniform(rng, *w.shape)
-    for t in (0, 1):
-        for w in params.head_weights[t]:
-            w[...] = glorot_uniform(rng, *w.shape)
-        w = params.head_out_weights[t]
-        w[...] = glorot_uniform(rng, w.size, 1).ravel()
     return params
 
 
 def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     """Representations H = relu(A_hat (... relu(A_hat (X U_1) + b_1) ... U_g) + b_g).
 
-    Returns (H, enc_inputs, enc_pre, enc_act) so callers building a trace
-    avoid recomputation.
+    Returns (H, enc_pre, enc_act), enc_act starting with X itself, so
+    callers building a trace avoid recomputation.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != ahat.shape[0]:
         raise ShapeError(f"encode: X has {x.shape[0]} rows, adjacency is {ahat.shape}")
     h = x
-    enc_inputs, enc_pre, enc_act = [], [], []
+    enc_pre, enc_act = [], [x]
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
         z = ahat @ (h @ w) + b
-        enc_inputs.append(h)
         h = relu(z)
         enc_pre.append(z)
         enc_act.append(h)
-    return h, enc_inputs, enc_pre, enc_act
+    return h, enc_pre, enc_act
 
 
 def _head_forward(params: ModelParams, h: np.ndarray, t: int):
     a = h
     pre, act = [], [a]
-    for w, b in zip(params.head_weights[t], params.head_biases[t]):
+    for w, b in zip(params.head_weights[t][:-1], params.head_biases[t][:-1]):
         s = a @ w + b
         a = relu(s)
         pre.append(s)
         act.append(a)
-    yhat = a @ params.head_out_weights[t] + params.head_out_biases[t]
-    return yhat, pre, act
+    yhat = a @ params.head_weights[t][-1] + params.head_biases[t][-1]
+    return yhat[:, 0], pre, act
 
 
 def _route(params: ModelParams, h: np.ndarray, t_assign):
@@ -166,9 +158,9 @@ def predict(params: ModelParams, h: np.ndarray, t_assign: np.ndarray) -> np.ndar
 
 def forward(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray, t_assign: np.ndarray):
     """Full pass; returns (yhat, trace) with intermediates for backward."""
-    h, enc_inputs, enc_pre, enc_act = encode(params, ahat, x)
+    h, enc_pre, enc_act = encode(params, ahat, x)
     yhat, rows, head_pre, head_act = _route(params, h, t_assign)
-    return yhat, ForwardTrace(ahat, enc_inputs, enc_pre, enc_act, head_pre, head_act, rows)
+    return yhat, ForwardTrace(ahat, enc_pre, enc_act, head_pre, head_act, rows)
 
 
 def backward(
@@ -196,22 +188,20 @@ def backward(
         gh += grad_h_extra
 
     for t, rows in enumerate(trace.head_rows):
-        gy = grad_yhat[rows]
-        act = trace.head_act[t]
-        grads.head_out_weights[t][...] = act[-1].T @ gy
-        grads.head_out_biases[t][...] = gy.sum()
-        ga = np.outer(gy, params.head_out_weights[t])
+        pre, act = trace.head_pre[t], trace.head_act[t]
+        gs = grad_yhat[rows][:, None]  # the regression layer has no ReLU
         for l in range(len(params.head_weights[t]) - 1, -1, -1):
-            gs = relu_backward(trace.head_pre[t][l], ga)
+            if l < len(pre):
+                gs = relu_backward(pre[l], gs)
             grads.head_weights[t][l][...] = act[l].T @ gs
             grads.head_biases[t][l][...] = gs.sum(axis=0)
-            ga = gs @ params.head_weights[t][l].T
-        gh[rows] += ga
+            gs = gs @ params.head_weights[t][l].T
+        gh[rows] += gs
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
         gm = trace.ahat @ gz  # A_hat is symmetric: A_hat^T gz == A_hat gz
-        grads.gcn_weights[l][...] = trace.enc_inputs[l].T @ gm
+        grads.gcn_weights[l][...] = trace.enc_act[l].T @ gm
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX
             gh = gm @ params.gcn_weights[l].T

@@ -9,13 +9,13 @@ import numpy as np
 from .linalg import NumericError, ShapeError
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates; offset of the step's denominator
+
+
 @dataclass
 class AdamState:
     size: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default=None)
     v: np.ndarray = field(default=None)
@@ -35,8 +35,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> np.ndarr
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericError(f"non-finite gradient at coordinate {bad}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    m_hat = state.m / (1 - state.beta1 ** state.step)
-    v_hat = state.v / (1 - state.beta2 ** state.step)
-    return theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1 - BETA1) * grad
+    state.v = BETA2 * state.v + (1 - BETA2) * grad * grad
+    m_hat = state.m / (1 - BETA1 ** state.step)
+    v_hat = state.v / (1 - BETA2 ** state.step)
+    return theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

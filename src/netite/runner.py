@@ -8,8 +8,6 @@ uses the complete graph; only the loss terms are restricted to a split.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +15,7 @@ import scipy.sparse as sp
 
 from .balance import SinkhornConfig, wasserstein1
 from .graph import identity_adjacency, normalize_adjacency
-from .linalg import make_rng
+from .linalg import check_fields, make_rng
 from .model import ModelParams, backward, encode, forward, init_params, predict
 from .optim import AdamState, adam_step
 from .simgen import NetworkedDataset
@@ -48,15 +46,10 @@ class TrainConfig:
     track_ipm: bool = True  # compute the W1 diagnostic even when alpha == 0
 
     def __post_init__(self):
-        for name in ("alpha", "lam"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not (isinstance(self.learning_rate, numbers.Real) and math.isfinite(self.learning_rate)
-                and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
-        if min(self.epochs + 1, self.gcn_layers, self.out_layers, self.rep_dim, self.hidden_units) < 1:
-            raise ValueError("counts must be >= 1")
+        check_fields(self, "alpha lam", 0)
+        check_fields(self, "learning_rate", 0, strict=True)
+        check_fields(self, "epochs seed", 0, integer=True)
+        check_fields(self, "gcn_layers out_layers rep_dim hidden_units", 1, integer=True)
 
 
 @dataclass
@@ -178,7 +171,7 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
 def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat) -> dict:
     """Per-split rooted PEHE, ATE error, and factual MSE from one pass
     of each head over every row."""
-    h, _, _, _ = encode(params, ahat, dataset.x)
+    h = encode(params, ahat, dataset.x)[0]
     y0_hat, y1_hat = (predict(params, h, np.full(dataset.n, t)) for t in (0, 1))
     tau_hat = y1_hat - y0_hat
     tau = dataset.true_ite()

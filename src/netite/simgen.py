@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import Network, neighbor_sum
-from .linalg import NumericError, make_rng
+from .linalg import NumericError, check_fields, make_rng
 
 
 @dataclass
@@ -38,16 +38,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n, self.k, self.vocab, self.words_per_doc) < 1:
-            raise ValueError("counts must be positive")
-        if self.kappa1 < 0 or self.kappa2 < 0:
-            raise ValueError("kappa1 and kappa2 must be >= 0")
-        if self.scale_c <= 0:
-            raise ValueError("outcome scale must be > 0")
-        if not np.isfinite(self.homophily):
-            raise ValueError("homophily must be finite")
-        if not (np.isfinite(self.target_degree) and self.target_degree >= 0):
-            raise ValueError("target_degree must be finite and >= 0")
+        check_fields(self, "n k vocab words_per_doc", 1, integer=True)
+        check_fields(self, "seed", 0, integer=True)
+        check_fields(self, "kappa1 kappa2 target_degree", 0)
+        check_fields(self, "scale_c dirichlet_alpha topic_word_alpha", 0, strict=True)
+        check_fields(self, "homophily")
 
 
 @dataclass

@@ -73,14 +73,18 @@ def test_simulate_config_not_an_object_exits_2(tmp_path, capsys, text, extra):
     assert captured.out == "" and captured.err.count("\n") == 1 and "JSON object" in captured.err
 
 
-@pytest.mark.parametrize("args", [["gradcheck", "--instances", "0"], ["simulate", "--out", "d", "--reps", "0"]],
-                         ids=["instances", "reps"])
-def test_count_flag_below_one_exits_2(tmp_path, capsys, monkeypatch, args):
+@pytest.mark.parametrize("args, message", [
+    (["gradcheck", "--instances", "0"], "must be >= 1"),
+    (["simulate", "--out", "d", "--reps", "0"], "must be >= 1"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0"),
+    (["simulate", "--out", "d", "--reps", "1", "--seed", "-1"], "seed must be an integer >= 0"),
+], ids=["instances", "reps", "gradcheck-negative-seed", "simulate-negative-seed"])
+def test_count_flag_below_one_exits_2(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     rc = main(args)
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1 and "must be >= 1" in captured.err
+    assert captured.out == "" and captured.err.count("\n") == 1 and message in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -98,7 +102,14 @@ def test_simulate_no_confounding_balanced(tmp_path, capsys):
     {"homophily": float("nan")},  # used to give 0 edges silently
     {"homophily": 800.0},  # exp overflows: the weights sum to inf
     {"target_degree": -3.0},
-], ids=["homophily-nan", "homophily-overflow", "negative-degree"])
+    {"n": 60.5}, {"k": 5.0}, {"seed": 1.5}, {"n": True},
+    {"words_per_doc": 25.5},  # used to draw 25 words and record 25.5
+    {"dirichlet_alpha": -1.0}, {"topic_word_alpha": 0.0},
+    {"scale_c": float("nan")},  # used to write NaN outcomes
+    {"kappa1": float("inf")},
+], ids=["homophily-nan", "homophily-overflow", "negative-degree", "float-n", "float-k", "float-seed",
+        "bool-n", "float-words-per-doc", "negative-dirichlet-alpha", "zero-topic-word-alpha",
+        "nan-scale", "inf-kappa1"])
 def test_simulate_edgeless_config_exits_2(tmp_path, capsys, extra):
     cfg = write_sim_config(tmp_path, **extra)
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--reps", "1"])
@@ -184,9 +195,10 @@ def test_train_non_finite_gradient_exits_5(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("flags", [["--epochs", "-5"], ["--lr", "-1"], ["--lr", "nan"],
-                                   ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"]],
+                                   ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"],
+                                   ["--seed", "-1"]],
                          ids=["negative-epochs", "negative-lr", "nan-lr",
-                              "nan-alpha", "nan-lambda", "inf-alpha"])
+                              "nan-alpha", "nan-lambda", "inf-alpha", "negative-seed"])
 def test_train_bad_config_exits_2(tmp_path, capsys, flags):
     out = simulate_dir(tmp_path, capsys=capsys)
     rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST, *flags])
@@ -324,12 +336,19 @@ def test_expand_grid_file_epochs_is_an_axis():
     assert [c.epochs for c in expand_grid_file({"lr": [1e-2]}, seed=0)] == [50]
 
 
-@pytest.mark.parametrize("axes", [{"epochs": []}, {"dim": [0]}, {"lr": ["fast"]}, {"lr": [-1.0]}, 5])
-def test_grid_bad_axis_value_exits_2(tmp_path, capsys, axes):
+@pytest.mark.parametrize("axes, extra", [
+    ({"epochs": []}, []), ({"dim": [0]}, []), ({"lr": ["fast"]}, []), ({"lr": [-1.0]}, []), (5, []),
+    ({"epochs": [2.5]}, []), ({"dim": [2.5]}, []), ({"gcn_layers": [1.5]}, []), ({"out_layers": [2.0]}, []),
+    ({"epochs": [True]}, []),  # used to train one epoch
+    ({"alpha": [True]}, []), ({"lr": [True]}, []),
+    ({"epochs": [1]}, ["--seed", "-1"]),
+], ids=["axes0", "axes1", "axes2", "axes3", "5", "float-epochs", "float-dim", "float-gcn-layers",
+        "float-out-layers", "bool-epochs", "bool-alpha", "bool-lr", "negative-seed"])
+def test_grid_bad_axis_value_exits_2(tmp_path, capsys, axes, extra):
     out = simulate_dir(tmp_path, capsys=capsys)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(axes))
-    rc = main(["grid", "--data", str(out / "rep_0"), "--grid", str(grid)])
+    rc = main(["grid", "--data", str(out / "rep_0"), "--grid", str(grid), *extra])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1

@@ -61,7 +61,7 @@ def identity_params(m, cfg):
     for t in (0, 1):
         for w in p.head_weights[t]:
             w[:] = np.eye(*w.shape)
-        p.head_out_weights[t][:] = 1.0
+        p.head_weights[t][-1][:] = 1.0
     return p
 
 
@@ -102,7 +102,7 @@ def test_predict_hand_example():
 def test_predict_heads_differ():
     cfg = small_cfg()
     p = identity_params(2, cfg)
-    p.head_out_weights[1][:] = 2.0
+    p.head_weights[1][-1][:] = 2.0
     h = np.array([[1.0, 2.0]])
     assert predict(p, h, np.array([0]))[0] != predict(p, h, np.array([1]))[0]
 
@@ -137,19 +137,18 @@ def test_backward_single_instance_linear_chain_rule():
     p = init_params(cfg, 2, make_rng(4))
     for arr in p.gcn_weights + p.head_weights[0] + p.head_weights[1]:
         arr[:] = np.abs(arr) + 0.1
-    p.head_out_weights[0][:] = np.abs(p.head_out_weights[0]) + 0.1
     x = np.array([[1.0, 2.0]])
     ahat = normalize_adjacency(Network.from_pairs(1, []))
     yhat, trace = forward(p, ahat, x, np.array([0]))
     grads = backward(p, trace, np.array([1.0]))
     # hand chain rule for the regression weight: d yhat / d w = head activation
-    assert np.allclose(grads.head_out_weights[0], trace.head_act[0][-1][0], atol=1e-12)
+    assert np.allclose(grads.head_weights[0][-1][:, 0], trace.head_act[0][-1][0], atol=1e-12)
     # and for the head weight matrix: outer(h, w)
     h = trace.enc_act[-1][0]
-    expected_w1 = np.outer(h, p.head_out_weights[0])
+    expected_w1 = np.outer(h, p.head_weights[0][-1])
     assert np.allclose(grads.head_weights[0][0], expected_w1, atol=1e-12)
     # untouched head gets zero gradient
-    assert np.array_equal(grads.head_out_weights[1], np.zeros(2))
+    assert np.array_equal(grads.head_weights[1][-1], np.zeros((2, 1)))
 
 
 def test_head_isolation_exact():
@@ -165,7 +164,7 @@ def test_head_isolation_exact():
     ahat = normalize_adjacency(net)
     y_before, _ = forward(p, ahat, x, t)
     p.head_weights[1][0] += 10.0
-    p.head_out_weights[1] += 3.0
+    p.head_weights[1][-1] += 3.0
     y_after, _ = forward(p, ahat, x, t)
     control = t == 0
     assert np.array_equal(y_before[control], y_after[control])
@@ -220,7 +219,7 @@ def max_rel_err(got, ref):
 
 def test_encode_matches_left_associated_products():
     p, ahat, x, _ = wide_first_layer_instance()
-    h, _, enc_pre, _ = encode(p, ahat, x)
+    h, enc_pre, _ = encode(p, ahat, x)
     h_ref, _, pre_ref = left_associated_encode(p, ahat, x)
     assert max_rel_err(h, h_ref) < 1e-12
     for z, z_ref in zip(enc_pre, pre_ref):
@@ -242,6 +241,17 @@ def test_gcn_weight_grads_match_left_associated_products():
         gh = ahat @ (gz @ p.gcn_weights[l].T)
 
 
+def test_each_stack_keeps_one_layer_list():
+    # the regression layer is the last head layer; enc_act starts with X
+    p, ahat, x, t = wide_first_layer_instance()
+    for a in (0, 1):
+        assert [w.shape for w in p.head_weights[a]] == [(3, 3), (3, 3), (3, 1)]
+        assert [b.shape for b in p.head_biases[a]] == [(3,), (3,), (1,)]
+    _, trace = forward(p, ahat, x, t)
+    assert trace.enc_act[0] is x and len(trace.enc_act) == len(trace.enc_pre) + 1
+    assert [len(pre) for pre in trace.head_pre] == [2, 2]
+
+
 def test_forward_runs_each_head_on_its_own_rows():
     p, ahat, x, _ = wide_first_layer_instance()
     t = np.array([0, 1, 1, 1, 0, 1, 1, 0])
@@ -254,17 +264,17 @@ def test_forward_runs_each_head_on_its_own_rows():
 def all_rows_forward(p, ahat, x, t):
     """`forward` as it was when both heads ran over every row and the
     factual prediction was picked afterwards."""
-    h, enc_inputs, enc_pre, enc_act = encode(p, ahat, x)
+    h, enc_pre, enc_act = encode(p, ahat, x)
     head_pre, head_act, y = [], [], []
     for a in (0, 1):
         act, pre = [h], []
-        for w, b in zip(p.head_weights[a], p.head_biases[a]):
+        for w, b in zip(p.head_weights[a][:-1], p.head_biases[a][:-1]):
             pre.append(act[-1] @ w + b)
             act.append(np.maximum(pre[-1], 0.0))
         head_pre.append(pre)
         head_act.append(act)
-        y.append(act[-1] @ p.head_out_weights[a] + p.head_out_biases[a])
-    trace = SimpleNamespace(ahat=ahat, enc_inputs=enc_inputs, enc_pre=enc_pre, enc_act=enc_act,
+        y.append(act[-1] @ p.head_weights[a][-1][:, 0] + p.head_biases[a][-1][0])
+    trace = SimpleNamespace(ahat=ahat, enc_pre=enc_pre, enc_act=enc_act,
                             head_pre=head_pre, head_act=head_act, t=np.asarray(t))
     return np.where(trace.t == 1, y[1], y[0]), trace
 
@@ -279,10 +289,10 @@ def all_rows_backward(p, trace, grad_yhat, grad_h_extra=None):
     for a in (0, 1):
         gy = np.where(trace.t == a, grad_yhat, 0.0)
         act = trace.head_act[a]
-        grads.head_out_weights[a][...] = act[-1].T @ gy
-        grads.head_out_biases[a][...] = gy.sum()
-        ga = np.outer(gy, p.head_out_weights[a])
-        for l in range(len(p.head_weights[a]) - 1, -1, -1):
+        grads.head_weights[a][-1][:, 0] = act[-1].T @ gy
+        grads.head_biases[a][-1][0] = gy.sum()
+        ga = np.outer(gy, p.head_weights[a][-1][:, 0])
+        for l in range(len(p.head_weights[a]) - 2, -1, -1):
             gs = np.where(trace.head_pre[a][l] > 0.0, ga, 0.0)
             grads.head_weights[a][l][...] = act[l].T @ gs
             grads.head_biases[a][l][...] = gs.sum(axis=0)
@@ -291,7 +301,7 @@ def all_rows_backward(p, trace, grad_yhat, grad_h_extra=None):
     for l in range(len(p.gcn_weights) - 1, -1, -1):
         gz = np.where(trace.enc_pre[l] > 0.0, gh, 0.0)
         gm = trace.ahat @ gz
-        grads.gcn_weights[l][...] = trace.enc_inputs[l].T @ gm
+        grads.gcn_weights[l][...] = trace.enc_act[l].T @ gm
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         gh = gm @ p.gcn_weights[l].T
     return grads
@@ -379,10 +389,10 @@ def test_parameter_order_matches_list_reference(tmp_path, gcn_layers, out_layers
     # distinct nonzero biases, written through the named views, so that
     # every block is told apart from every other
     fill = make_rng(99)
-    for view, arr in zip(p.gcn_biases + p.head_biases[0] + p.head_biases[1], gb + hb[0] + hb[1]):
+    for view, arr in zip(p.gcn_biases + p.head_biases[0][:-1] + p.head_biases[1][:-1], gb + hb[0] + hb[1]):
         view[...] = arr[...] = fill.normal(size=arr.shape)
     for t in (0, 1):
-        p.head_out_biases[t][...] = hob[t] = fill.normal()
+        p.head_biases[t][-1][...] = hob[t] = fill.normal()
     theta = reference_flatten(*ref)
     flat = p.flatten()
     assert flat.dtype == theta.dtype and flat.tobytes() == theta.tobytes()
@@ -400,7 +410,7 @@ def test_parameter_order_matches_list_reference(tmp_path, gcn_layers, out_layers
 def test_params_are_views_into_theta():
     p = init_params(small_cfg(gcn_layers=2, out_layers=2), 3, make_rng(0))
     p.gcn_biases[0][0] += 1.0
-    p.head_out_biases[1][...] = 2.5
+    p.head_biases[1][-1][...] = 2.5
     theta = p.flatten()
     assert theta[3 * 2 + 0] == 1.0 and theta[-1] == 2.5
     theta[:] = 0.0  # flatten is a copy

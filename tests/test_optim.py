@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from netite.linalg import NumericError
-from netite.optim import AdamState, adam_step
+from netite.optim import BETA1, BETA2, EPS, AdamState, adam_step
 
 
 def test_zero_gradient_no_move():
@@ -61,3 +63,16 @@ def test_nonfinite_gradient_names_coordinate():
     g = np.array([0.0, np.nan, 0.0])
     with pytest.raises(NumericError, match="coordinate 1"):
         adam_step(state, np.zeros(3), g)
+
+
+def test_hyperparameters_are_module_constants():
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+    assert [f.name for f in dataclasses.fields(AdamState)] == ["size", "learning_rate", "step", "m", "v"]
+    # two steps by hand with the constants
+    state = AdamState(size=1, learning_rate=0.1)
+    theta = adam_step(state, np.zeros(1), np.array([2.0]))
+    theta = adam_step(state, theta, np.array([-1.0]))
+    m = (1 - BETA1) * (BETA1 * 2.0 - 1.0)
+    v = (1 - BETA2) * (BETA2 * 4.0 + 1.0)
+    m_hat, v_hat = m / (1 - BETA1 ** 2), v / (1 - BETA2 ** 2)
+    assert abs(theta[0] - (-0.1 * 2.0 / (2.0 + EPS) - 0.1 * m_hat / (np.sqrt(v_hat) + EPS))) < 1e-15

@@ -312,9 +312,9 @@ def test_ablation_identity_equals_dense_forward():
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         h = np.maximum(h @ w + b, 0.0)
     t = int(ds.t[i])
-    for w, b in zip(params.head_weights[t], params.head_biases[t]):
+    for w, b in zip(params.head_weights[t][:-1], params.head_biases[t][:-1]):
         h = np.maximum(h @ w + b, 0.0)
-    y_dense = float((h @ params.head_out_weights[t])[0] + params.head_out_biases[t])
+    y_dense = float((h @ params.head_weights[t][-1] + params.head_biases[t][-1])[0, 0])
     assert y_graph[i] == y_dense
 
 

@@ -288,6 +288,10 @@ def test_gen_network_rejects_overflowing_weights():
 @pytest.mark.parametrize("field,value", [
     ("homophily", np.nan), ("homophily", np.inf), ("homophily", -np.inf),
     ("target_degree", -3.0), ("target_degree", np.nan), ("target_degree", np.inf),
+    ("n", 60.5), ("k", 5.0), ("vocab", 2.0), ("n", True), ("words_per_doc", 25.5),
+    ("seed", 1.5), ("seed", -1), ("seed", False),
+    ("dirichlet_alpha", -1.0), ("dirichlet_alpha", 0.0), ("topic_word_alpha", np.nan),
+    ("scale_c", np.nan), ("kappa1", np.inf), ("kappa2", np.nan),
 ])
 def test_config_rejects_edgeless_settings(field, value):
     with pytest.raises(ValueError):
