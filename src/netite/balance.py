@@ -45,7 +45,9 @@ discarded, the last one kept is folded into the potentials
 on from u = a, v = b with what is left of the iteration cap. The
 unrolled backward runs one segment at a time, latest first, each with
 its own K, and collects each step's K-shaped term in one product
-K * (U^T X + Y^T V) per segment.
+K * (U^T X + Y^T V) per segment. That product rounds by the memory order
+of U and V, and the forward's join may leave them in either order, so
+the backward takes each segment's iterates in C order.
 
 `wasserstein1` returns a `W1Result`. Its value, convergence flag and
 iteration count come from the forward iterations alone; a caller that
@@ -73,7 +75,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import NumericError
+from .linalg import NumericError, check_fields
 
 
 class DegenerateGroupsError(ValueError):
@@ -87,10 +89,9 @@ class SinkhornConfig:
     convergence_tol: float = 1e-6  # max marginal violation; 0 disables early exit
 
     def __post_init__(self):
-        if self.entropic_reg <= 0:
-            raise ValueError("entropic_reg must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_fields(self, "entropic_reg", 0, strict=True)
+        check_fields(self, "max_iters", 1, integer=True)
+        check_fields(self, "convergence_tol", 0)
 
 
 class W1Result:
@@ -231,9 +232,7 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
                     us.append(np.broadcast_to(u, (rest, n1)))
                     vs.append(np.broadcast_to(v, (rest, n0)))
                     done += rest
-        # out= keeps C order, which the backward's products round by; one-row blocks beside copies join in F
-        u_hist = np.concatenate(us, out=np.empty((done, n1)))
-        v_hist = np.concatenate(vs, out=np.empty((done + 1, n0)))
+        u_hist, v_hist = np.concatenate(us), np.concatenate(vs)
         del us, vs
         # Keep the iterates before the first out-of-range one. If there is
         # one, fold the last kept into the potentials and go on from
@@ -283,6 +282,7 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     for i, (f, g, u_hist, v_hist) in reversed(list(enumerate(segments))):
         if i < len(segments) - 1:
             k = _kernel(b_mat, f, g)
+        u_hist, v_hist = np.ascontiguousarray(u_hist), np.ascontiguousarray(v_hist)
         kt = np.ascontiguousarray(k.T)
         eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
         x_hist, y_hist = np.empty((len(u_hist), n0)), np.empty((len(u_hist), n1))

@@ -2,6 +2,8 @@
 
 Subcommands: simulate, train, grid, eval, gradcheck. Tables go to
 stdout, diagnostics to stderr, and every error is one stderr line.
+train and eval take --ablation-identity, the network-blind ablation: the
+dataset is read with its edges removed, and nothing else changes.
 Exit codes: 0 success, 2 bad configuration (a count flag below 1 or a
 negative seed too), missing input file or unsupported dataset format
 version, 3 I/O failure or malformed dataset file, 4 degenerate split,
@@ -25,14 +27,13 @@ import numpy as np
 
 from . import io as nio
 from .gradcheck import fd_max_rel_err
-from .graph import normalize_adjacency
+from .graph import Network, normalize_adjacency
 from .linalg import NumericError
 from .runner import (
     DegenerateSplitError,
     MetricsReport,
     NonFiniteLossError,
     TrainConfig,
-    ablation_no_network,
     evaluate,
     expand_grid,
     grid_search,
@@ -95,8 +96,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_dataset(path):
-    """The dataset at path with its ground truth, which every command that reads one needs."""
+def _read_dataset(path, drop_edges: bool = False):
+    """The dataset at path with its ground truth, which every command that reads
+    one needs; with drop_edges, on a network without edges (network-blind)."""
     try:
         ds = nio.read_dataset(path)
     except (FileNotFoundError, nio.DatasetVersionError) as exc:
@@ -106,7 +108,7 @@ def _read_dataset(path):
     if ds.ycf is None:
         raise CliError(EXIT_BAD_CONFIG, "dataset is observational-only; ground-truth "
                        "outcomes are required to report ITE metrics")
-    return ds
+    return dataclasses.replace(ds, net=Network(ds.n)) if drop_edges else ds
 
 
 def _print_results(name: str, rep, report: MetricsReport):
@@ -115,11 +117,10 @@ def _print_results(name: str, rep, report: MetricsReport):
 
 
 def cmd_train(args) -> int:
-    ds = _read_dataset(args.data)
+    ds = _read_dataset(args.data, args.ablation_identity)
     [cfg] = expand_grid_file({k: getattr(args, k) for k in GRID_KEY_MAP}, seed=args.seed)
     split = make_split(ds.n, ds.t, cfg.seed)
-    runner_fn = ablation_no_network if args.ablation_identity else train
-    params, report = runner_fn(ds, split, cfg)
+    params, report = train(ds, split, cfg)
     if report.sinkhorn_unconverged:
         print(f"warning: Sinkhorn stopped at max_iters={cfg.sinkhorn.max_iters} unconverged in "
               f"{report.sinkhorn_unconverged} of {cfg.epochs} epochs", file=sys.stderr)
@@ -184,7 +185,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = _read_dataset(args.data)
+    ds = _read_dataset(args.data, args.ablation_identity)
     params, seed = nio.load_checkpoint(args.checkpoint)
     if params.num_features != ds.x.shape[1]:
         raise CliError(EXIT_CHECKPOINT,
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dim", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--ablation-identity", action="store_true",
-                   help="replace the normalized adjacency with the identity (network-blind)")
+                   help="train on the network without its edges (network-blind)")
     s.add_argument("--checkpoint", default=None)
     s.set_defaults(fn=cmd_train)
 
@@ -248,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("eval", help="recompute metrics from a checkpoint")
     s.add_argument("--data", required=True)
     s.add_argument("--checkpoint", required=True)
+    s.add_argument("--ablation-identity", action="store_true",
+                   help="evaluate on the network without its edges, as a model trained so")
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="finite-difference gradient verification")

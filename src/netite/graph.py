@@ -61,12 +61,6 @@ def normalize_adjacency(net: Network) -> sp.csr_matrix:
     return (d_inv @ a_tilde @ d_inv).tocsr()
 
 
-def identity_adjacency(n: int) -> sp.csr_matrix:
-    """Network-blind stand-in for normalize_adjacency: message passing
-    reduces to per-node dense layers."""
-    return sp.identity(n, format="csr")
-
-
 def neighbor_sum(net: Network, r: np.ndarray) -> np.ndarray:
     """Row i of the result is the sum of r's rows over i's neighbors
     (raw A, no self-loops, no normalization)."""

@@ -14,13 +14,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import SinkhornConfig, wasserstein1
-from .graph import identity_adjacency, normalize_adjacency
+from .graph import Network, normalize_adjacency
 from .linalg import check_fields, make_rng
 from .model import ModelParams, backward, encode, forward, init_params, predict
 from .optim import AdamState, adam_step
 from .simgen import NetworkedDataset
 
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, valid, test parts of make_split
+SPLIT_TRIES = 100  # draws make_split makes before it gives up
 
 
 class DegenerateSplitError(ValueError):
@@ -59,13 +60,13 @@ class Split:
     test: np.ndarray
 
 
-def make_split(n: int, t: np.ndarray, seed: int, max_tries: int = 100) -> Split:
+def make_split(n: int, t: np.ndarray, seed: int) -> Split:
     """Random disjoint exhaustive train/valid/test split; resamples until
     every part contains at least one treated and one control instance."""
     rng = make_rng(seed, stream=7)
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
     n_valid = int(round(SPLIT_FRACTIONS[1] * n))
-    for _ in range(max_tries):
+    for _ in range(SPLIT_TRIES):
         perm = rng.permutation(n)
         split = Split(perm[:n_train], perm[n_train : n_train + n_valid], perm[n_train + n_valid :])
         ok = all(
@@ -113,9 +114,10 @@ def _check_train_groups(t: np.ndarray, train_idx: np.ndarray):
         raise DegenerateSplitError("training split must contain both treatment groups")
 
 
-def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat=None,
+def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: TrainConfig, ahat,
               grad: bool = True, w1=None):
-    """Full objective (see module docstring). Returns the loss, its exact
+    """Full objective (see module docstring), message passing over `ahat`, the
+    caller's normalize_adjacency(dataset.net). Returns the loss, its exact
     gradient (None unless grad), the additive parts, the factual
     predictions for all rows (for validation tracking), and the W1Result
     (None when W1 was not computed). The W1 gradients are read, and so
@@ -129,8 +131,6 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
     H instead of computing W1 again, and is returned. The caller vouches
     that H is bit for bit the H that `w1` was computed from, for example
     because only head parameters changed since."""
-    if ahat is None:
-        ahat = normalize_adjacency(dataset.net)
     t = dataset.t
     _check_train_groups(t, train_idx)
     yhat, trace = forward(params, ahat, dataset.x, t)
@@ -184,11 +184,11 @@ def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat)
     return out
 
 
-def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_graph: bool = False):
+def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
     """Full-batch ADAM training; model selection picks the epoch with the
     best validation factual MSE. Returns (params, MetricsReport)."""
     _check_train_groups(dataset.t, split.train)
-    ahat = identity_adjacency(dataset.n) if identity_graph else normalize_adjacency(dataset.net)
+    ahat = normalize_adjacency(dataset.net)
     rng = make_rng(cfg.seed, stream=11)
     params = init_params(cfg, dataset.x.shape[1], rng)
     adam = AdamState(size=params.theta.size, learning_rate=cfg.learning_rate)
@@ -222,9 +222,9 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig, identity_gr
 
 
 def ablation_no_network(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
-    """Network-blind control: identical pipeline with the identity matrix
-    in place of the normalized adjacency."""
-    return train(dataset, split, cfg, identity_graph=True)
+    """Network-blind control: `train` on the dataset without its edges, whose
+    normalized adjacency is the identity (per-node dense layers)."""
+    return train(replace(dataset, net=Network(dataset.n)), split, cfg)
 
 
 def expand_grid(base: TrainConfig, axes: dict) -> list:

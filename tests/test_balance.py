@@ -44,6 +44,15 @@ def test_empty_group_raises():
         wasserstein1(np.empty((0, 2)), np.ones((2, 2)), SinkhornConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 2.5), ("max_iters", True), ("entropic_reg", math.inf), ("entropic_reg", math.nan),
+    ("entropic_reg", True), ("convergence_tol", math.nan), ("convergence_tol", -1.0),
+    ("convergence_tol", math.inf), ("convergence_tol", True)])
+def test_sinkhorn_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SinkhornConfig(**{field: value})
+
+
 def test_oracle_identical_sets():
     pts = make_rng(1).normal(size=(4, 2))
     assert exact_w1_oracle(pts, pts.copy()) == 0.0
@@ -564,6 +573,25 @@ def test_former_log_path_cases_keep_old_distance(case):
     (a, b), cfg, _ = W1_CASES[case]
     want = float.fromhex(OLD_LOG_DIST[case])
     assert abs(wasserstein1(a, b, cfg).dist - want) <= 1e-9 * want
+
+
+# The backward's products round by the memory order of the iterates; it
+# takes them in C order, so F-ordered copies give the same gradient bits.
+def test_backward_gradient_bits_do_not_depend_on_history_layout(monkeypatch):
+    steps, sinkhorn = [], balance._sinkhorn
+
+    def keep_step(*args):
+        out = sinkhorn(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(balance, "_sinkhorn", keep_step)
+    for a, b, cfg in case_groups():
+        wasserstein1(a, b, cfg)
+    for step in steps:
+        c, eps, segments = step.args
+        f_order = [(f, g, np.asfortranarray(u), np.asfortranarray(v)) for f, g, u, v in segments]
+        assert balance._sinkhorn_backward(c, eps, f_order).tobytes() == step().tobytes()
 
 
 # A segment that keeps no iterate would make no progress: it raises

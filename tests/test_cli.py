@@ -251,6 +251,19 @@ def test_eval_reproduces_training_metrics(tmp_path, capsys):
     assert eval_out == train_out
 
 
+def test_eval_reproduces_ablation_metrics(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    ckpt = tmp_path / "model.ckpt"
+    data = ["--data", str(out / "rep_0")]
+    assert main(["train", *data, "--ablation-identity", "--checkpoint", str(ckpt), *TRAIN_FAST]) == 0
+    train_out = capsys.readouterr().out
+    assert main(["eval", *data, "--ablation-identity", "--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().out == train_out
+    # the model was trained without edges; the real graph gives other numbers
+    assert main(["eval", *data, "--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().out != train_out
+
+
 def test_eval_corrupt_checkpoint(tmp_path, capsys):
     out = simulate_dir(tmp_path)
     ckpt = tmp_path / "model.ckpt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netite.balance import SinkhornConfig
-from netite.graph import normalize_adjacency
+from netite.graph import Network, normalize_adjacency
 from netite.linalg import make_rng
 from netite.model import ModelParams, init_params
 from netite.runner import (
@@ -83,7 +83,7 @@ def test_split_disjoint_exhaustive_both_groups():
 def test_split_degenerate_raises():
     t = np.ones(10, dtype=np.int64)  # all treated, no control anywhere
     with pytest.raises(DegenerateSplitError):
-        make_split(10, t, seed=0, max_tries=5)
+        make_split(10, t, seed=0)
 
 
 # ---- objective ----
@@ -93,7 +93,7 @@ def test_objective_reduces_to_mse():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(alpha=0.0, lam=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(0))
-    loss, _, parts, _, _ = objective(params, ds, split.train, cfg)
+    loss, _, parts, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert loss == parts["mse"]
     assert parts["ipm"] == 0.0
 
@@ -103,7 +103,7 @@ def test_objective_additivity():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg()
     params = init_params(cfg, ds.x.shape[1], make_rng(1))
-    loss, _, parts, _, _ = objective(params, ds, split.train, cfg)
+    loss, _, parts, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert abs(loss - (parts["mse"] + cfg.alpha * parts["ipm"] + cfg.lam * parts["l2"])) < 1e-9
 
 
@@ -116,7 +116,7 @@ def test_objective_l2_only_for_perfect_predictor():
     cfg = tiny_cfg(alpha=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(2))
     zero = ModelParams(params.num_features, params.gcn_dims, params.head_dims, np.zeros_like(params.flatten()))
-    loss, _, parts, _, _ = objective(zero, ds, split.train, cfg)
+    loss, _, parts, _, _ = objective(zero, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert parts["mse"] == 0.0
     assert loss == cfg.lam * parts["l2"] == 0.0
 
@@ -127,7 +127,7 @@ def test_objective_degenerate_train_split():
     cfg = tiny_cfg()
     params = init_params(cfg, ds.x.shape[1], make_rng(3))
     with pytest.raises(DegenerateSplitError):
-        objective(params, ds, idx, cfg)
+        objective(params, ds, idx, cfg, normalize_adjacency(ds.net))
 
 
 def test_objective_never_reads_counterfactuals():
@@ -143,7 +143,7 @@ def test_objective_never_reads_counterfactuals():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(epochs=2)
     params = init_params(cfg, ds.x.shape[1], make_rng(4))
-    objective(params, ds, split.train, cfg)
+    objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
     # train() reads them only in the final evaluation step, which needs
     # the ground truth; the optimization loop itself must not
     with pytest.raises(AssertionError):
@@ -203,7 +203,6 @@ def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat, bac
     loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
     assert len(backward_runs) == (cfg.alpha > 0)
     v_loss, v_grads, v_parts, v_yhat, v_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
-    assert objective(params, ds, train_idx, cfg, grad=False)[:3] == (loss, None, parts)
     assert len(backward_runs) == (cfg.alpha > 0)
     assert (v_loss, v_parts) == (loss, parts)
     assert np.array_equal(v_yhat, yhat)
@@ -298,13 +297,12 @@ def test_train_config_rejects_bad_penalty_weight(field, value):
 
 
 def test_ablation_identity_equals_dense_forward():
-    from netite.graph import identity_adjacency
     from netite.model import forward
 
     ds = tiny_dataset(n=30)
     cfg = tiny_cfg()
     params = init_params(cfg, ds.x.shape[1], make_rng(5))
-    ahat = identity_adjacency(ds.n)
+    ahat = normalize_adjacency(Network(ds.n))
     y_graph, _ = forward(params, ahat, ds.x, ds.t)
     # same computation with plain dense layers, one instance at a time
     i = 7
@@ -319,7 +317,6 @@ def test_ablation_identity_equals_dense_forward():
 
 
 def test_evaluate_equals_two_predict_passes():
-    from netite.graph import normalize_adjacency
     from netite.model import encode, predict
     from netite.runner import SplitMetrics, evaluate
 
