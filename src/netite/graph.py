@@ -42,23 +42,24 @@ class Network:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Raw symmetric 0/1 adjacency, no self-loops."""
-        i = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        j = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(i.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, (i, j)), shape=(self.n, self.n))
+    def adjacency(self, self_loops: bool = False) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency A without self-loops, or A + I."""
+        loops = np.arange(self.n if self_loops else 0)
+        i = np.concatenate([self.edges[:, 0], self.edges[:, 1], loops])
+        j = np.concatenate([self.edges[:, 1], self.edges[:, 0], loops])
+        return sp.csr_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n))
 
 
 def normalize_adjacency(net: Network) -> sp.csr_matrix:
     """Renormalized adjacency D~^{-1/2} (A + I) D~^{-1/2}, computed once as
-    a preprocessing step. Symmetric; every row carries at least its
+    a preprocessing step: entry (i, j) of A + I scaled by the two inverse
+    square-root degrees. Symmetric; every row carries at least its
     diagonal entry (self-loops make the degrees strictly positive)."""
-    a_tilde = (net.adjacency() + sp.identity(net.n, format="csr")).tocsr()
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    a_hat = net.adjacency(self_loops=True)
+    deg = np.diff(a_hat.indptr)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    d_inv = sp.diags(inv_sqrt)
-    return (d_inv @ a_tilde @ d_inv).tocsr()
+    a_hat.data = inv_sqrt[np.repeat(np.arange(net.n), deg)] * inv_sqrt[a_hat.indices]
+    return a_hat
 
 
 def neighbor_sum(net: Network, r: np.ndarray) -> np.ndarray:

@@ -8,22 +8,25 @@ Dataset directory layout:
                 (ycf, mu0, mu1, prob_t) are omitted
   meta.json     configuration echo plus format version
 
-Every file is written and parsed as whole arrays, never one Python line
-at a time. write_dataset formats each distinct feature value once and
-assembles the triplet lines from precomputed row, column and value
-tokens, WRITE_CHUNK lines at a time so transient memory stays bounded;
-edges and nodes go out in one writelines each. read_dataset parses each
-file with np.loadtxt, whose float conversion is correctly rounded like
-float(), and scatters the triplets into x with one indexed assignment.
+write_dataset formats each distinct feature value once and assembles
+the triplet lines from precomputed row, column and value tokens,
+CHUNK_LINES lines at a time so transient memory stays bounded; edges and
+nodes go out in one writelines each. read_dataset parses every file with
+np.loadtxt, whose float conversion is correctly rounded like float():
+edges and nodes as whole arrays, features.mtx CHUNK_LINES lines at a
+time, each chunk's triplets scattered straight into x, so no nnz-long
+array is ever held.
 
 read_dataset checks meta.json first: it must be a JSON object whose
 format_version is the integer FORMAT_VERSION, else DatasetVersionError.
 It raises ValueError, prefixed with the file's name, when
-  features.mtx  the header is not three non-negative integers, the
-                triplet count (trailing lines included) differs from the
-                header's nnz, a row or column index is out of range, a
-                value is not finite, or a cell is listed twice or holds
-                a zero;
+  features.mtx  the header is not three non-negative integers, x of the
+                header's shape cannot be allocated, the triplet count
+                (trailing lines included) differs from the header's nnz,
+                a line is not an "i j v" triplet, a row or column index
+                is out of range, a value is not finite, or a cell is
+                listed twice or holds a zero; a parse error names the
+                file line its chunk starts at;
   edges.tsv     a line is not two integers, an index is out of range, an
                 edge is a self-loop, or an edge is listed twice or as
                 i > j;
@@ -50,6 +53,7 @@ is bit exact.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import warnings
 from contextlib import contextmanager
@@ -66,7 +70,7 @@ FORMAT_VERSION = 1
 NODE_COLUMNS_FULL = ["id", "t", "yf", "ycf", "mu0", "mu1", "prob_t"]
 NODE_COLUMNS_OBS = ["id", "t", "yf"]
 
-WRITE_CHUNK = 1 << 16  # feature lines joined per write
+CHUNK_LINES = 1 << 16  # feature or checkpoint lines per write, feature lines per parse
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
@@ -112,14 +116,16 @@ def write_dataset(dirpath, ds: NetworkedDataset, cfg: SimConfig | None = None,
 
 def _write_features(path, x: np.ndarray) -> None:
     rows, cols = np.nonzero(x)
-    values, which = np.unique(x[rows, cols], return_inverse=True)
+    vals = x[rows, cols]
+    values = np.unique(vals)
+    which = np.searchsorted(values, vals)
     row_tok = np.array([f"{i} " for i in range(x.shape[0])], dtype=object)
     col_tok = np.array([f"{j} " for j in range(x.shape[1])], dtype=object)
     val_tok = np.array([f"{v!r}\n" for v in values.tolist()], dtype=object)
     with open(path, "w") as f:
         f.write(f"{x.shape[0]} {x.shape[1]} {rows.size}\n")
-        for start in range(0, rows.size, WRITE_CHUNK):
-            part = slice(start, start + WRITE_CHUNK)
+        for start in range(0, rows.size, CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
             lines = np.empty((rows[part].size, 3), dtype=object)
             lines[:, 0] = row_tok[rows[part]]
             lines[:, 1] = col_tok[cols[part]]
@@ -136,12 +142,48 @@ def _blame(path: Path):
         raise ValueError(f"{path.name}: {exc}") from None
 
 
-def _load_table(path: Path, dtype, skiprows: int = 0, ndmin: int = 1) -> np.ndarray:
-    """The whole whitespace-separated table in one np.loadtxt call; a file
-    with no rows gives an empty array without loadtxt's no-data warning."""
+def _load_table(source, dtype, skiprows: int = 0, ndmin: int = 1) -> np.ndarray:
+    """A whitespace-separated table in one np.loadtxt call, from a path
+    (the whole file) or an iterable of lines (one chunk of a file); no
+    rows give an empty array without loadtxt's no-data warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, dtype=dtype, comments=None, skiprows=skiprows, ndmin=ndmin)
+        return np.loadtxt(source, dtype=dtype, comments=None, skiprows=skiprows, ndmin=ndmin)
+
+
+def _read_features(path: Path) -> np.ndarray:
+    """x from features.mtx, parsed and checked CHUNK_LINES lines at a time."""
+    with open(path) as f:
+        n, m, nnz = (int(v) for v in f.readline().split())
+        if min(n, m, nnz) < 0:
+            raise ValueError(f"negative size in header {n} {m} {nnz}")
+        try:
+            x = np.zeros((n, m))
+        except MemoryError:
+            raise ValueError(f"cannot allocate x of the header shape {n}x{m}") from None
+        count = 0
+        for start in itertools.count(2, CHUNK_LINES):  # file line of the chunk's first line
+            first = f.readline()
+            if not first:
+                break
+            try:
+                trip = _load_table(itertools.chain([first], itertools.islice(f, CHUNK_LINES - 1)), _TRIPLET)
+            except ValueError as exc:
+                raise ValueError(f"in the chunk that starts at line {start}: {exc}") from None
+            count += trip.size
+            if count > nnz:
+                raise ValueError(f"more triplets than the header's nnz={nnz}")
+            i, j, v = trip["i"], trip["j"], trip["v"]
+            if np.any((i < 0) | (i >= n) | (j < 0) | (j >= m)):
+                raise ValueError(f"triplet index outside the {n}x{m} header shape")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("a value is not finite")
+            x[i, j] = v
+    if count != nnz:
+        raise ValueError(f"{count} triplets, but the header says nnz={nnz}")
+    if np.count_nonzero(x) != nnz:
+        raise ValueError("a cell is listed twice or holds a zero")
+    return x
 
 
 def _check_format_version(path: Path) -> None:
@@ -164,22 +206,8 @@ def read_dataset(dirpath) -> NetworkedDataset:
 
     path = dirpath / "features.mtx"
     with _blame(path):
-        with open(path) as f:
-            n, m, nnz = (int(v) for v in f.readline().split())
-        if min(n, m, nnz) < 0:
-            raise ValueError(f"negative size in header {n} {m} {nnz}")
-        trip = _load_table(path, _TRIPLET, skiprows=1)
-        if trip.size != nnz:
-            raise ValueError(f"{trip.size} triplets, but the header says nnz={nnz}")
-        i, j = trip["i"], trip["j"]
-        if np.any((i < 0) | (i >= n) | (j < 0) | (j >= m)):
-            raise ValueError(f"triplet index outside the {n}x{m} header shape")
-        if not np.all(np.isfinite(trip["v"])):
-            raise ValueError("a value is not finite")
-        x = np.zeros((n, m))
-        x[i, j] = trip["v"]
-        if np.count_nonzero(x) != nnz:
-            raise ValueError("a cell is listed twice or holds a zero")
+        x = _read_features(path)
+        n = x.shape[0]
 
     path = dirpath / "edges.tsv"
     with _blame(path):
@@ -223,7 +251,9 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
         f.write("gcn_dims " + ",".join(str(d) for d in params.gcn_dims) + "\n")
         f.write("head_dims " + ",".join(str(d) for d in params.head_dims) + "\n")
         f.write(f"values {theta.size}\n")
-        f.writelines(f"{v!r}\n" for v in theta.tolist())
+        values = theta.tolist()
+        for start in range(0, len(values), CHUNK_LINES):
+            f.write("\n".join(map(repr, values[start:start + CHUNK_LINES])) + "\n")
 
 
 def load_checkpoint(path):

@@ -420,6 +420,19 @@ def test_non_finite_dataset_value_exits_3(tmp_path, capsys, name, row, col):
     assert captured.err.count("\n") == 1 and f"{name}: " in captured.err and "not finite" in captured.err
 
 
+def test_unallocatable_feature_shape_exits_3(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    path = out / "rep_0" / "features.mtx"
+    lines = path.read_text().splitlines()
+    lines[0] = "100000000 100000000 " + lines[0].split()[2]  # 8e16 bytes of x
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "features.mtx: cannot allocate" in captured.err
+
+
 def test_eval_non_finite_checkpoint_exits_6(tmp_path, capsys):
     out = simulate_dir(tmp_path, capsys=capsys)
     ckpt = tmp_path / "model.ckpt"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from netite.gradcheck import random_tiny_instance
 from netite.graph import Network, neighbor_sum, normalize_adjacency
 from netite.linalg import ShapeError
+from netite.simgen import SimConfig, simulate
 
 
 def test_isolated_node():
@@ -25,6 +28,25 @@ def test_three_path():
     assert abs(ahat[0, 1] - 1.0 / np.sqrt(6.0)) < 1e-12
     assert abs(ahat[1, 1] - 1.0 / 3.0) < 1e-12
     assert abs(ahat[0, 2]) < 1e-12
+
+
+def _reference_normalize(net):
+    """D~^{-1/2} (A + I) D~^{-1/2} as two sparse products: pins the bytes."""
+    a_tilde = (net.adjacency() + sp.identity(net.n, format="csr")).tocsr()
+    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    d_inv = sp.diags(1.0 / np.sqrt(deg))
+    return (d_inv @ a_tilde @ d_inv).tocsr()
+
+
+def test_normalized_bytes_match_sparse_products():
+    nets = [random_tiny_instance(seed)[1].net for seed in range(20)]
+    nets += [Network(5), simulate(SimConfig()).net]
+    for net in nets:
+        got, want = normalize_adjacency(net), _reference_normalize(net)
+        assert type(got) is type(want)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (net.n, name)
 
 
 def test_normalized_is_symmetric():

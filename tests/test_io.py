@@ -1,4 +1,6 @@
+import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -146,7 +148,7 @@ def test_dataset_roundtrip_property(case):
 
 def test_feature_lines_span_write_chunks(tmp_path, monkeypatch):
     ds = small_dataset()
-    monkeypatch.setattr(nio, "WRITE_CHUNK", 7)
+    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
     nio.write_dataset(tmp_path / "d", ds)
     expected = reference_files(ds, False)["features.mtx"]
     assert expected.count("\n") > 7 * 10
@@ -178,6 +180,8 @@ MALFORMED = {
     "row index too large": ("features.mtx", _set_field(1, 0, "40")),
     "negative column index": ("features.mtx", _set_field(1, 1, "-1")),
     "repeated cell": ("features.mtx", lambda lines: lines.__setitem__(2, lines[1])),
+    "repeated cell in a later chunk": ("features.mtx", lambda lines: lines.__setitem__(30, lines[1])),
+    "row index too large in a later chunk": ("features.mtx", _set_field(40, 0, "40")),
     "zero value": ("features.mtx", _set_field(1, 2, "0.0")),
     "non-integer edge index": ("edges.tsv", _set_field(0, 1, "1.5")),
     "duplicated edge": ("edges.tsv", lambda lines: lines.append(lines[0])),
@@ -192,12 +196,82 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(MALFORMED))
-def test_read_rejects_malformed_files(tmp_path, fault):
+def _assert_rejected(tmp_path, fault):
     name, edit = MALFORMED[fault]
     nio.write_dataset(tmp_path / "d", small_dataset())
     _edit_lines(tmp_path / "d" / name, edit)
     with pytest.raises(ValueError, match=f"^{name}: ") as info:
+        nio.read_dataset(tmp_path / "d")
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_read_rejects_malformed_files(tmp_path, fault):
+    _assert_rejected(tmp_path, fault)
+
+
+@pytest.mark.parametrize("fault", sorted(f for f in MALFORMED if MALFORMED[f][0] == "features.mtx"))
+def test_read_rejects_malformed_features_across_chunks(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
+    _assert_rejected(tmp_path, fault)
+
+
+def _blank_lines_on_chunk_edges(lines):
+    """With 7-line chunks, which start at file lines 2, 9, 16, ...: one blank
+    line ends the first chunk and seven fill the third."""
+    lines.insert(7, "")
+    lines[15:15] = [""] * 7
+
+
+def test_features_read_in_chunks_bit_exact(tmp_path, monkeypatch):
+    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
+    ds = small_dataset()
+    nio.write_dataset(tmp_path / "d", ds)
+    _edit_lines(tmp_path / "d" / "features.mtx", _blank_lines_on_chunk_edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = nio.read_dataset(tmp_path / "d")
+    assert back.x.tobytes() == ds.x.tobytes()
+
+
+def test_unparsable_triplet_names_its_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
+    nio.write_dataset(tmp_path / "d", small_dataset())
+    bad = 2 + 2 * 7 + 3  # a file line in the third chunk
+    _edit_lines(tmp_path / "d" / "features.mtx", _set_field(bad - 1, 2, "x"))
+    with pytest.raises(ValueError, match="^features.mtx: ") as info:
+        nio.read_dataset(tmp_path / "d")
+    message = str(info.value)
+    assert "\n" not in message
+    # numpy numbers the rows of each chunk from 0
+    start, row = re.search(r"line (\d+): .* at row (\d+)", message).groups()
+    assert int(start) + int(row) == bad
+
+
+def test_features_read_holds_no_nnz_long_array(tmp_path, monkeypatch):
+    chunk = 1 << 10
+    monkeypatch.setattr(nio, "CHUNK_LINES", chunk)
+    n, m = 100, 600  # every cell nonzero: about 59 chunks of triplets
+    rng = make_rng(0)
+    cols = [rng.normal(size=n) for _ in range(5)]
+    ds = NetworkedDataset(rng.normal(size=(n, m)), Network(n), np.zeros(n, dtype=np.int64), *cols)
+    nio.write_dataset(tmp_path / "d", ds)
+    tracemalloc.start()
+    try:
+        back = nio.read_dataset(tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole triplet array would be n * m * 24 bytes, 1.44 MB
+    assert peak - back.x.nbytes < 8 * chunk * 24
+
+
+def test_unallocatable_header_shape_raises_value_error(tmp_path):
+    nio.write_dataset(tmp_path / "d", small_dataset())
+    # 8e16 bytes, more than any address space: the allocation fails at once
+    _edit_lines(tmp_path / "d" / "features.mtx",
+                lambda lines: lines.__setitem__(0, "100000000 100000000 " + lines[0].split()[2]))
+    with pytest.raises(ValueError, match="^features.mtx: cannot allocate") as info:
         nio.read_dataset(tmp_path / "d")
     assert "\n" not in str(info.value)
 
@@ -234,6 +308,15 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     nio.save_checkpoint(tmp_path / "a", p, seed=1)
     nio.save_checkpoint(tmp_path / "b", p, seed=1)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_checkpoint_values_span_write_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
+    p = sample_params()
+    nio.save_checkpoint(tmp_path / "model.ckpt", p, seed=3)
+    lines = (tmp_path / "model.ckpt").read_text().splitlines(keepends=True)
+    assert len(lines) - 6 > 7 * 10
+    assert lines[6:] == [f"{v!r}\n" for v in p.theta.tolist()]
 
 
 def test_checkpoint_truncated_raises(tmp_path):
