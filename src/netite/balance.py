@@ -60,6 +60,16 @@ own operations, so the gradients equal bit for bit those of a backward
 run at once. A non-finite gradient raises NumericError at that first
 read.
 
+The n1 x n0 values of Sinkhorn live in a few buffers filled in place,
+each operation kept in the order and rounding of the plain expression.
+The forward holds C, K (built in place from B = C/eps) and one work
+buffer, which holds K^T during the iterations and the plan after them;
+it peaks near 3.2 n1 x n0 buffers. The gradient read adds the backward's
+K, a work buffer (the plan, then K^T, then Y^T V), one more (P∘B, then
+U^T X and the K-shaped term) and the gradient, which is divided by C in
+place; it peaks near 5.5. Besides these, the median's one partial sort
+and the sums <P, C> and <dC, C> each make one temporary.
+
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
 """
@@ -136,13 +146,15 @@ def _median_with_support(c: np.ndarray):
     so the median can participate in the backward pass."""
     flat = c.ravel()
     nn = flat.size
-    ks = [nn // 2] if nn % 2 == 1 else [nn // 2 - 1, nn // 2]
+    half = nn // 2
+    part = np.partition(flat, half)
+    # of an even count, the lower middle value is the largest below rank half
+    ks, vals = ([half], [part[half]]) if nn % 2 == 1 else ([half - 1, half], [part[:half].max(), part[half]])
     wts = [1.0 / len(ks)] * len(ks)
-    part = np.partition(flat, ks)
     # the index a stable argsort puts at rank k: of the entries equal to
     # the k-th smallest value, in index order, the one after those that
     # rank below k
-    idx = [np.flatnonzero(flat == part[k])[k - np.count_nonzero(flat < part[k])] for k in ks]
+    idx = [np.flatnonzero(flat == val)[k - np.count_nonzero(flat < val)] for k, val in zip(ks, vals)]
     med = float(sum(w * flat[i] for i, w in zip(idx, wts)))
     return med, idx, wts
 
@@ -168,12 +180,27 @@ def _check_block(cells: int) -> int:
     return max(1, min(32, 2**14 // cells))
 
 
-def _kernel(b_mat: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """K = exp(f + g - B), built in one buffer."""
-    k = f[:, None] + g
-    k -= b_mat
+def _kernel(k: np.ndarray, f, g) -> np.ndarray:
+    """Turn B, held in k, into K = exp(f + g - B) in place, with f + g - B
+    formed in blocks of about 2^16 cells, so no full-size temporary is
+    made. f = g = None stands for zero potentials: K is exp(-B), since
+    0 - B is -B and exp(-0) = exp(0)."""
+    if f is None:
+        np.negative(k, out=k)
+    else:
+        step = max(1, 2**16 // k.shape[1])
+        for r in range(0, k.shape[0], step):
+            rows = slice(r, r + step)
+            np.subtract(f[rows, None] + g, k[rows], out=k[rows])
     np.exp(k, out=k)
     return k
+
+
+def _plan(u: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The plan diag(u) K diag(v), written into out."""
+    np.multiply(u[:, None], k, out=out)
+    out *= v
+    return out
 
 
 def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
@@ -181,21 +208,28 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     Sinkhorn on B = C/eps, on the scalings u, v of the kernel
     K = exp(f + g - B), with the potentials f, g absorbing any scaling
     that grows out of range. The step is `_sinkhorn_backward` bound to
-    this run; called, it returns d<P, B>/dB."""
-    b_mat = c / eps
-    n1, n0 = b_mat.shape
+    this run; called, it returns d<P, B>/dB. The caller must not write
+    into the plan.
+
+    Besides C, the run keeps two n1 x n0 buffers: k (B, then each
+    segment's K) and work (K^T in the loop, then the plan)."""
+    n1, n0 = c.shape
     a, b = 1.0 / n1, 1.0 / n0
-    f, g = np.zeros(n1), np.zeros(n0)
-    if b_mat.max() > math.log(_BOUND):
-        f = b_mat.min(axis=1)
-        g = (b_mat - f[:, None]).min(axis=0)
-    v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
+    k = np.divide(c, eps)
+    f = g = None  # zero potentials, until a start or a fold shifts them
+    v = np.full(n0, b)
+    if k.max() > math.log(_BOUND):
+        f = k.min(axis=1)
+        g = (k - f[:, None]).min(axis=0)
+        v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
     block = _check_block(n1 * n0)
+    work = np.empty(n1 * n0)
+    kt = work.reshape(n0, n1)
     segments = []  # (f, g, u history, v history from its start) per segment
     iters = 0
     while True:
-        k = _kernel(b_mat, f, g)
-        kt = np.ascontiguousarray(k.T)
+        _kernel(k, f, g)
+        np.copyto(kt, k.T)
         # ndarray.dot, ufunc.reduce, 0-d operands and a positional out skip call
         # overheads that dominate on the few-point groups of the acceptance checks.
         a0, b0 = np.array(a), np.array(b)
@@ -246,30 +280,35 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
         iters += keep
         if keep == len(ok):
             break
-        f = f + np.log(u_hist[keep - 1] / a)
-        g = g + np.log(v_hist[keep] / b)
+        phi, psi = np.log(u_hist[keep - 1] / a), np.log(v_hist[keep] / b)
+        f, g = (phi, psi) if f is None else (f + phi, g + psi)
         v = np.full(n0, b)
+        np.divide(c, eps, out=k)
 
-    p = u_hist[-1][:, None] * k * v_hist[-1][None, :]
+    p = _plan(u_hist[-1], k, v_hist[-1], work.reshape(n1, n0))
     return p, partial(_sinkhorn_backward, c, eps, segments), stop, iters
 
 
 def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     """d<P, B>/dB for the `_sinkhorn` run on C/eps that kept `segments`,
     by unrolling the run's iterations. B, each segment's K and K^T, and
-    the plan are recomputed here with the forward's own operations."""
-    b_mat = c / eps
-    n1, n0 = b_mat.shape
+    the plan are recomputed here with the forward's own operations.
+    Besides the gradient, three n1 x n0 buffers hold every value: k
+    (each segment's K), work (the plan, then K^T, then Y^T V) and acc
+    (P∘B, then U^T X and the K-shaped term)."""
+    n1, n0 = c.shape
     a, b = 1.0 / n1, 1.0 / n0
     f, g, u_hist, v_hist = segments[-1]
-    k = _kernel(b_mat, f, g)
-    p = u_hist[-1][:, None] * k * v_hist[-1][None, :]
-    pb = p * b_mat
-    g_phi_plan = pb.sum(axis=1)
-    g_psi = pb.sum(axis=0)
-    del pb
-    g_b = p * (1.0 - b_mat)
-    del p
+    k = _kernel(np.divide(c, eps), f, g)
+    work = np.empty(n1 * n0)
+    p = _plan(u_hist[-1], k, v_hist[-1], work.reshape(n1, n0))
+    g_b = np.divide(c, eps)  # B, until it turns into P∘(1 - B), the gradient's first term
+    acc = np.multiply(p, g_b)  # P∘B
+    g_phi_plan = acc.sum(axis=1)
+    g_psi = acc.sum(axis=0)
+    np.subtract(1.0, g_b, out=g_b)
+    g_b *= p
+    kt = work.reshape(n0, n1)
 
     # In the potentials phi = log(u/a), psi = log(v/b), step t of the
     # backward adds diag(u_t) K diag(x_t) and diag(y_t) K diag(v_{t-1})
@@ -281,9 +320,9 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     # those of the full scalings and g_psi carries across segments.
     for i, (f, g, u_hist, v_hist) in reversed(list(enumerate(segments))):
         if i < len(segments) - 1:
-            k = _kernel(b_mat, f, g)
+            _kernel(np.divide(c, eps, out=k), f, g)
         u_hist, v_hist = np.ascontiguousarray(u_hist), np.ascontiguousarray(v_hist)
-        kt = np.ascontiguousarray(k.T)
+        np.copyto(kt, k.T)
         eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
         x_hist, y_hist = np.empty((len(u_hist), n0)), np.empty((len(u_hist), n1))
         for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
@@ -295,8 +334,11 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
                 g_phi_plan = None
             np.multiply(eu_t, g_phi, out=y)
             g_psi = nv_prev * kt.dot(y)
-        del kt
-        g_b += k * (u_hist.T @ x_hist + y_hist.T @ v_hist[:-1])
+        # g_b += K * (U^T X + Y^T V)
+        np.matmul(u_hist.T, x_hist, out=acc)
+        acc += np.matmul(y_hist.T, v_hist[:-1], out=p)  # work, done as the plan and as K^T
+        acc *= k
+        g_b += acc
     if not np.all(np.isfinite(g_b)):
         raise NumericError("non-finite Sinkhorn gradient")
     return g_b
@@ -343,8 +385,9 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
 
         # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
         # without materializing the n1 x n0 x d unit-vector tensor
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(c > 0.0, g_c / c, 0.0)
+        apart = c > 0.0
+        w = np.divide(g_c, c, out=g_c, where=apart)
+        w[~apart] = 0.0
         grad_treated = treated * w.sum(axis=1)[:, None] - w @ control
         grad_control = control * w.sum(axis=0)[:, None] - w.T @ treated
         return grad_treated, grad_control

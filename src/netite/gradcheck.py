@@ -68,7 +68,7 @@ def fd_max_rel_err(seed: int) -> float:
     """Max relative error between analytic and central finite-difference
     gradients of the full objective on one random tiny instance."""
     params, ds, train_idx, cfg, ahat = random_tiny_instance(seed)
-    _, grads, _, _, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
+    _, grads, _, _, w1, _ = objective(params, ds, train_idx, cfg, ahat=ahat)
     g = grads.theta
     theta = params.theta
     # H, and so W1, depends only on the encoder block that leads theta

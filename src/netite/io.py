@@ -25,8 +25,7 @@ It raises ValueError, prefixed with the file's name, when
                 (trailing lines included) differs from the header's nnz,
                 a line is not an "i j v" triplet, a row or column index
                 is out of range, a value is not finite, or a cell is
-                listed twice or holds a zero; a parse error names the
-                file line its chunk starts at;
+                listed twice or holds a zero;
   edges.tsv     a line is not two integers, an index is out of range, an
                 edge is a self-loop, or an edge is listed twice or as
                 i > j;
@@ -35,7 +34,9 @@ It raises ValueError, prefixed with the file's name, when
                 are not 0..n-1 each exactly once, t is not 0 or 1, or a
                 value of a float column (yf, ycf, mu0, mu1, prob_t) is
                 not finite.
-Blank lines are skipped; nothing else is.
+A line that does not parse (a wrong field count, or a field that is not
+a number of its column's type) is named by its line in the file, blank
+lines and the header counted. Blank lines are skipped; nothing else is.
 
 Checkpoints are decimal text: a fixed header (format version, seed,
 num_features, gcn_dims, head_dims, value count) followed by the flat
@@ -55,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -73,6 +75,7 @@ NODE_COLUMNS_OBS = ["id", "t", "yf"]
 CHUNK_LINES = 1 << 16  # feature or checkpoint lines per write, feature lines per parse
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_EDGE = np.dtype([("i", np.int64), ("j", np.int64)])  # an edges.tsv line, to find a bad one
 
 
 class CheckpointError(ValueError):
@@ -151,6 +154,24 @@ def _load_table(source, dtype, skiprows: int = 0, ndmin: int = 1) -> np.ndarray:
         return np.loadtxt(source, dtype=dtype, comments=None, skiprows=skiprows, ndmin=ndmin)
 
 
+def _bad_line(path: Path, exc: ValueError, dtype, start: int = 1, count: int | None = None) -> ValueError:
+    """The parse error `exc` of the file's lines from line `start` on
+    (`count` of them, or to the end) as "line L: reason", L the first of
+    those lines that np.loadtxt rejects on its own. numpy's row number,
+    which skips blank lines, is dropped from the reason. A parse error
+    that no single line causes comes back as it was."""
+    stop = None if count is None else start - 1 + count
+    with open(path) as f:
+        for number, line in enumerate(itertools.islice(f, start - 1, stop), start):
+            try:
+                _load_table([line], dtype)
+            except ValueError as bad:
+                reason = re.sub(r" at row \d+, column", " in column", str(bad))
+                reason = re.sub(r" at row \d+; use `usecols`.*", "", reason)
+                return ValueError(f"line {number}: {reason}")
+    return exc
+
+
 def _read_features(path: Path) -> np.ndarray:
     """x from features.mtx, parsed and checked CHUNK_LINES lines at a time."""
     with open(path) as f:
@@ -169,7 +190,7 @@ def _read_features(path: Path) -> np.ndarray:
             try:
                 trip = _load_table(itertools.chain([first], itertools.islice(f, CHUNK_LINES - 1)), _TRIPLET)
             except ValueError as exc:
-                raise ValueError(f"in the chunk that starts at line {start}: {exc}") from None
+                raise _bad_line(path, exc, _TRIPLET, start, CHUNK_LINES) from None
             count += trip.size
             if count > nnz:
                 raise ValueError(f"more triplets than the header's nnz={nnz}")
@@ -211,7 +232,10 @@ def read_dataset(dirpath) -> NetworkedDataset:
 
     path = dirpath / "edges.tsv"
     with _blame(path):
-        pairs = _load_table(path, np.int64, ndmin=2)
+        try:
+            pairs = _load_table(path, np.int64, ndmin=2)
+        except ValueError as exc:
+            raise _bad_line(path, exc, _EDGE) from None
         if pairs.size and pairs.shape[1] != 2:
             raise ValueError(f"lines hold {pairs.shape[1]} fields, expected 2")
         net = Network.from_pairs(n, pairs)
@@ -225,7 +249,10 @@ def read_dataset(dirpath) -> NetworkedDataset:
         if header != NODE_COLUMNS_FULL and header != NODE_COLUMNS_OBS:
             raise ValueError(f"unexpected header: {header}")
         dtype = np.dtype([(c, np.int64) for c in header[:2]] + [(c, np.float64) for c in header[2:]])
-        rows = _load_table(path, dtype, skiprows=1)
+        try:
+            rows = _load_table(path, dtype, skiprows=1)
+        except ValueError as exc:
+            raise _bad_line(path, exc, dtype, start=2) from None
         if rows.size != n:
             raise ValueError(f"{rows.size} rows for {n} nodes")
         ids = rows["id"]

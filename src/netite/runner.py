@@ -119,13 +119,13 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
     """Full objective (see module docstring), message passing over `ahat`, the
     caller's normalize_adjacency(dataset.net). Returns the loss, its exact
     gradient (None unless grad), the additive parts, the factual
-    predictions for all rows (for validation tracking), and the W1Result
-    (None when W1 was not computed). The W1 gradients are read, and so
-    the Sinkhorn backward runs, only when grad is true and alpha > 0; a
-    non-finite W1 gradient raises NumericError there. With grad false
-    neither backward runs; the loss and parts are the same, since the
-    forward code is shared. Reads only x, t, yf from the dataset;
-    counterfactual fields are never inputs.
+    predictions for all rows (for validation tracking), the W1Result
+    (None when W1 was not computed) and the representations H of every
+    row. The W1 gradients are read, and so the Sinkhorn backward runs,
+    only when grad is true and alpha > 0; a non-finite W1 gradient raises
+    NumericError there. With grad false neither backward runs; the loss
+    and parts are the same, since the forward code is shared. Reads only
+    x, t, yf from the dataset; counterfactual fields are never inputs.
 
     A given `w1` is used as the W1Result of this call's representations
     H instead of computing W1 again, and is returned. The caller vouches
@@ -165,13 +165,17 @@ def objective(params: ModelParams, dataset: NetworkedDataset, train_idx, cfg: Tr
 
     loss = mse + cfg.alpha * ipm + cfg.lam * l2
     parts = {"mse": mse, "ipm": ipm, "l2": l2}
-    return loss, grads, parts, yhat, w1
+    return loss, grads, parts, yhat, w1, h
 
 
 def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat) -> dict:
     """Per-split rooted PEHE, ATE error, and factual MSE from one pass
     of each head over every row."""
-    h = encode(params, ahat, dataset.x)[0]
+    return _split_metrics(params, dataset, split, encode(params, ahat, dataset.x)[0])
+
+
+def _split_metrics(params: ModelParams, dataset: NetworkedDataset, split: Split, h: np.ndarray) -> dict:
+    """`evaluate` on the representations h that `params` encode."""
     y0_hat, y1_hat = (predict(params, h, np.full(dataset.n, t)) for t in (0, 1))
     tau_hat = y1_hat - y0_hat
     tau = dataset.true_ite()
@@ -186,7 +190,9 @@ def evaluate(params: ModelParams, dataset: NetworkedDataset, split: Split, ahat)
 
 def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
     """Full-batch ADAM training; model selection picks the epoch with the
-    best validation factual MSE. Returns (params, MetricsReport)."""
+    best validation factual MSE and scores it on the representations that
+    epoch computed, with no second encoder pass. Returns (params,
+    MetricsReport)."""
     _check_train_groups(dataset.t, split.train)
     ahat = normalize_adjacency(dataset.net)
     rng = make_rng(cfg.seed, stream=11)
@@ -195,10 +201,11 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
     report = MetricsReport(splits={})
 
     best_theta = params.flatten()
+    best_h = None  # the representations best_theta encodes, once an epoch is picked
     best_val = np.inf
     best_epoch = -1
     for epoch in range(cfg.epochs):
-        loss, grads, parts, yhat, w1 = objective(params, dataset, split.train, cfg, ahat)
+        loss, grads, parts, yhat, w1, h = objective(params, dataset, split.train, cfg, ahat)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"non-finite loss at epoch {epoch}: parts={parts}")
         val_mse = float(np.mean((yhat[split.valid] - dataset.yf[split.valid]) ** 2))
@@ -212,12 +219,15 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
         if val_mse < best_val:
             best_val = val_mse
             best_theta = params.flatten()
+            best_h = h
             best_epoch = epoch
         params.theta[:] = adam_step(adam, params.theta, grads.theta)
 
     params.theta[:] = best_theta
     report.best_epoch = best_epoch if cfg.epochs > 0 else 0
-    report.splits = evaluate(params, dataset, split, ahat)
+    if best_h is None:  # no epoch was picked: score the initial parameters
+        best_h = encode(params, ahat, dataset.x)[0]
+    report.splits = _split_metrics(params, dataset, split, best_h)
     return params, report
 
 

@@ -307,7 +307,8 @@ def test_w1_memory_unread_and_read():
     """An unread result keeps C and the iterates, the backward's inputs,
     and rebuilds B, K, K^T and the plan when a gradient is first read;
     keeping those four as well held 5 n1 x n0 buffers. The forward and
-    the backward each peak near 6.4 such buffers, against 9.4 when the
+    the backward each peaked near 6.4 such buffers when each step made
+    its own arrays (the next test bounds them now), against 9.4 when the
     backward ran at once. Both runs converge in 29 iterations, so a cap
     of 100,000 must cost no more than one of 300: no buffer may be sized
     by the cap. tracemalloc counts numpy's buffers and only this test's
@@ -327,6 +328,28 @@ def test_w1_memory_unread_and_read():
         assert res.converged and res.iterations < 300
         assert held < 2 * unit
         assert peak < 7 * unit
+
+
+def test_w1_memory_in_reused_buffers():
+    """The forward keeps every n1 x n0 value in C, K and one work buffer
+    (K^T, then the plan) and peaks near 3.2 such buffers; the gradient
+    read adds the backward's K, work, one more buffer and the gradient,
+    and peaks near 5.5. With fresh arrays for each step they peaked at
+    6.1 and 6.4."""
+    a, b = gaussian_groups(0, 600, 600, 3)
+    unit = a.shape[0] * b.shape[0] * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = wasserstein1(a, b, SinkhornConfig())
+        forward = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        res.grad_treated
+        read = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert forward < 4 * unit
+    assert read < 6 * unit
 
 
 # Property tests of the W1 invariants. Coordinates lie on a grid of

@@ -193,6 +193,24 @@ MALFORMED = {
     "NaN mu0": ("nodes.tsv", _set_field(3, 4, "nan")),
     "infinite mu1": ("nodes.tsv", _set_field(4, 5, "-inf")),
     "NaN prob_t": ("nodes.tsv", _set_field(5, 6, "nan")),
+    "unparsable value after a blank line": ("features.mtx",
+                                            lambda lines: (lines.insert(2, ""), _set_field(4, 2, "x")(lines))),
+    "two-field triplet line": ("features.mtx", lambda lines: lines.__setitem__(4, lines[4].rsplit(" ", 1)[0])),
+    "four-field triplet line": ("features.mtx", lambda lines: lines.__setitem__(4, lines[4] + " 1.0")),
+    "unparsable edge index on line 3": ("edges.tsv", _set_field(2, 0, "x")),
+    "unparsable yf": ("nodes.tsv", _set_field(3, 2, "x")),
+}
+
+# The file line, header and blank lines counted, that each of these
+# faults leaves unparsable.
+BAD_LINE = {
+    "unparsable value after a blank line": 5,
+    "two-field triplet line": 5,
+    "four-field triplet line": 5,
+    "unparsable edge index on line 3": 3,
+    "non-integer edge index": 1,
+    "t is not an integer": 2,
+    "unparsable yf": 4,
 }
 
 
@@ -214,6 +232,19 @@ def test_read_rejects_malformed_files(tmp_path, fault):
 def test_read_rejects_malformed_features_across_chunks(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(nio, "CHUNK_LINES", 7)
     _assert_rejected(tmp_path, fault)
+
+
+@pytest.mark.parametrize("chunk", [7, nio.CHUNK_LINES])
+@pytest.mark.parametrize("fault", sorted(BAD_LINE))
+def test_parse_error_names_the_file_line(tmp_path, monkeypatch, fault, chunk):
+    monkeypatch.setattr(nio, "CHUNK_LINES", chunk)
+    name, edit = MALFORMED[fault]
+    nio.write_dataset(tmp_path / "d", small_dataset())
+    _edit_lines(tmp_path / "d" / name, edit)
+    with pytest.raises(ValueError, match=f"^{name}: line {BAD_LINE[fault]}: ") as info:
+        nio.read_dataset(tmp_path / "d")
+    # numpy's row count, which skips blank lines, and its usecols hint are gone
+    assert "at row" not in str(info.value) and "usecols" not in str(info.value)
 
 
 def _blank_lines_on_chunk_edges(lines):
@@ -243,9 +274,8 @@ def test_unparsable_triplet_names_its_chunk(tmp_path, monkeypatch):
         nio.read_dataset(tmp_path / "d")
     message = str(info.value)
     assert "\n" not in message
-    # numpy numbers the rows of each chunk from 0
-    start, row = re.search(r"line (\d+): .* at row (\d+)", message).groups()
-    assert int(start) + int(row) == bad
+    # the message names the bad line of the file
+    assert re.match(r"features.mtx: line (\d+): ", message)[1] == str(bad)
 
 
 def test_features_read_holds_no_nnz_long_array(tmp_path, monkeypatch):

@@ -93,7 +93,7 @@ def test_objective_reduces_to_mse():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg(alpha=0.0, lam=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(0))
-    loss, _, parts, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
+    loss, _, parts, _, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert loss == parts["mse"]
     assert parts["ipm"] == 0.0
 
@@ -103,7 +103,7 @@ def test_objective_additivity():
     split = make_split(ds.n, ds.t, 0)
     cfg = tiny_cfg()
     params = init_params(cfg, ds.x.shape[1], make_rng(1))
-    loss, _, parts, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
+    loss, _, parts, _, _, _ = objective(params, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert abs(loss - (parts["mse"] + cfg.alpha * parts["ipm"] + cfg.lam * parts["l2"])) < 1e-9
 
 
@@ -116,7 +116,7 @@ def test_objective_l2_only_for_perfect_predictor():
     cfg = tiny_cfg(alpha=0.0, track_ipm=False)
     params = init_params(cfg, ds.x.shape[1], make_rng(2))
     zero = ModelParams(params.num_features, params.gcn_dims, params.head_dims, np.zeros_like(params.flatten()))
-    loss, _, parts, _, _ = objective(zero, ds, split.train, cfg, normalize_adjacency(ds.net))
+    loss, _, parts, _, _, _ = objective(zero, ds, split.train, cfg, normalize_adjacency(ds.net))
     assert parts["mse"] == 0.0
     assert loss == cfg.lam * parts["l2"] == 0.0
 
@@ -188,7 +188,7 @@ def test_objective_uses_given_w1():
 
     params, ds, train_idx, cfg, ahat = random_tiny_instance(0)
     for grad in (True, False):
-        loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad)
+        loss, grads, parts, yhat, w1, _ = objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad)
         again = objective(params, ds, train_idx, cfg, ahat=ahat, grad=grad, w1=w1)
         assert again[0] == loss and again[2] == parts and again[4] is w1
         assert grads is None or np.array_equal(again[1].theta, grads.theta)
@@ -200,9 +200,9 @@ def assert_value_path_equals_gradient_path(params, ds, train_idx, cfg, ahat, bac
     """The value path equals the gradient path and runs no Sinkhorn
     backward; the gradient path runs it only with the penalty on."""
     backward_runs.clear()
-    loss, grads, parts, yhat, w1 = objective(params, ds, train_idx, cfg, ahat=ahat)
+    loss, grads, parts, yhat, w1, _ = objective(params, ds, train_idx, cfg, ahat=ahat)
     assert len(backward_runs) == (cfg.alpha > 0)
-    v_loss, v_grads, v_parts, v_yhat, v_w1 = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
+    v_loss, v_grads, v_parts, v_yhat, v_w1, _ = objective(params, ds, train_idx, cfg, ahat=ahat, grad=False)
     assert len(backward_runs) == (cfg.alpha > 0)
     assert (v_loss, v_parts) == (loss, parts)
     assert np.array_equal(v_yhat, yhat)
@@ -281,6 +281,27 @@ def test_train_counts_unconverged_sinkhorn_epochs():
     assert train(ds, split, converging)[1].sinkhorn_unconverged == 0
     unbalanced = tiny_cfg(epochs=4, alpha=0.0, track_ipm=False, sinkhorn=SinkhornConfig(max_iters=1))
     assert train(ds, split, unbalanced)[1].sinkhorn_unconverged == 0  # W1 never runs
+
+
+# Model selection scores the best epoch on the representations that epoch
+# computed: one encoder pass per epoch, and one at all without epochs.
+@pytest.mark.parametrize("epochs", [0, 1, 6])
+def test_train_encodes_once_per_epoch(epochs, monkeypatch):
+    from netite import model, runner
+
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    calls, real = [], model.encode
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(model, "encode", counted)
+    monkeypatch.setattr(runner, "encode", counted)
+    params, report = train(ds, split, tiny_cfg(epochs=epochs))
+    assert len(calls) == max(epochs, 1)
+    assert report.splits == runner.evaluate(params, ds, split, normalize_adjacency(ds.net))
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-2, np.nan, np.inf, "fast", None])
