@@ -67,8 +67,9 @@ buffer, which holds K^T during the iterations and the plan after them;
 it peaks near 3.2 n1 x n0 buffers. The gradient read adds the backward's
 K, a work buffer (the plan, then K^T, then Y^T V), one more (P∘B, then
 U^T X and the K-shaped term) and the gradient, which is divided by C in
-place; it peaks near 5.5. Besides these, the median's one partial sort
-and the sums <P, C> and <dC, C> each make one temporary.
+place; it peaks near 5.3. Its iterate histories X and Y (T (n1 + n0)
+floats) are scaled in place from v/b and u/a. The median's partial sort
+and the sums <P, C> and <dC, C> each make one temporary besides.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -313,9 +314,10 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     # In the potentials phi = log(u/a), psi = log(v/b), step t of the
     # backward adds diag(u_t) K diag(x_t) and diag(y_t) K diag(v_{t-1})
     # to dB, with x_t = e^psi_t * g_psi and y_t = e^phi_t * g_phi; the
-    # loop only carries the two vectors. The plan's own g_phi enters at
-    # the last iterate only; at every earlier one g_phi is just
-    # -u_t * K x_t. Within a segment, phi and psi differ from the logs of
+    # loop scales e^psi and e^phi into X and Y in place. The plan's own
+    # g_phi enters at the last iterate only; before it g_phi is -u_t K x_t.
+    # The loop carries -g_phi, exactly, and the sign comes back in g_psi
+    # and in Y^T V. Within a segment, phi and psi differ from the logs of
     # the full scalings u e^f, v e^g by constants, so their adjoints are
     # those of the full scalings and g_psi carries across segments.
     for i, (f, g, u_hist, v_hist) in reversed(list(enumerate(segments))):
@@ -323,20 +325,18 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
             _kernel(np.divide(c, eps, out=k), f, g)
         u_hist, v_hist = np.ascontiguousarray(u_hist), np.ascontiguousarray(v_hist)
         np.copyto(kt, k.T)
-        eu, ev, nu, nv = u_hist / a, v_hist / b, -u_hist, -v_hist
-        x_hist, y_hist = np.empty((len(u_hist), n0)), np.empty((len(u_hist), n1))
-        for nu_t, eu_t, ev_t, nv_prev, x, y in zip(
-                nu[::-1], eu[::-1], ev[:0:-1], nv[-2::-1], x_hist[::-1], y_hist[::-1]):
-            np.multiply(ev_t, g_psi, out=x)
-            g_phi = nu_t * k.dot(x)
+        x_hist, y_hist = v_hist[1:] / b, u_hist / a
+        for u_t, v_prev, x, y in zip(u_hist[::-1], v_hist[-2::-1], x_hist[::-1], y_hist[::-1]):
+            x *= g_psi
+            g_phi = u_t * k.dot(x)
             if g_phi_plan is not None:
-                g_phi += g_phi_plan
+                g_phi -= g_phi_plan
                 g_phi_plan = None
-            np.multiply(eu_t, g_phi, out=y)
-            g_psi = nv_prev * kt.dot(y)
-        # g_b += K * (U^T X + Y^T V)
+            y *= g_phi
+            g_psi = v_prev * kt.dot(y)
+        # g_b += K * (U^T X + Y^T V), with Y negated
         np.matmul(u_hist.T, x_hist, out=acc)
-        acc += np.matmul(y_hist.T, v_hist[:-1], out=p)  # work, done as the plan and as K^T
+        acc -= np.matmul(y_hist.T, v_hist[:-1], out=p)  # work, done as the plan and as K^T
         acc *= k
         g_b += acc
     if not np.all(np.isfinite(g_b)):

@@ -31,7 +31,6 @@ from .graph import Network, normalize_adjacency
 from .linalg import NumericError
 from .runner import (
     DegenerateSplitError,
-    MetricsReport,
     NonFiniteLossError,
     TrainConfig,
     evaluate,
@@ -111,9 +110,15 @@ def _read_dataset(path, drop_edges: bool = False):
     return dataclasses.replace(ds, net=Network(ds.n)) if drop_edges else ds
 
 
-def _print_results(name: str, rep, report: MetricsReport):
+def _print_results(name: str, rep, splits: dict):
     print("\t".join(nio.RESULT_COLUMNS))
-    print(nio.format_results_rows(name, rep, report.splits), end="")
+    print(nio.format_results_rows(name, rep, splits), end="")
+
+
+def _warn_unconverged(cfg: TrainConfig, report) -> None:
+    if report.sinkhorn_unconverged:
+        print(f"warning: Sinkhorn stopped at max_iters={cfg.sinkhorn.max_iters} unconverged in "
+              f"{report.sinkhorn_unconverged} of {cfg.epochs} epochs", file=sys.stderr)
 
 
 def cmd_train(args) -> int:
@@ -121,22 +126,26 @@ def cmd_train(args) -> int:
     [cfg] = expand_grid_file({k: getattr(args, k) for k in GRID_KEY_MAP}, seed=args.seed)
     split = make_split(ds.n, ds.t, cfg.seed)
     params, report = train(ds, split, cfg)
-    if report.sinkhorn_unconverged:
-        print(f"warning: Sinkhorn stopped at max_iters={cfg.sinkhorn.max_iters} unconverged in "
-              f"{report.sinkhorn_unconverged} of {cfg.epochs} epochs", file=sys.stderr)
+    _warn_unconverged(cfg, report)
     if args.checkpoint:
         try:
             nio.save_checkpoint(args.checkpoint, params, cfg.seed)
         except OSError as exc:  # a missing directory is an I/O failure here, not a missing input
             raise CliError(EXIT_IO, f"cannot write checkpoint {args.checkpoint}: {exc}")
-    _print_results(Path(args.data).name, args.seed, report)
+    _print_results(Path(args.data).name, args.seed, report.splits)
     return 0
 
 
-# grid file keys and train flags alike, by their argparse dest names
-GRID_KEY_MAP = {"lr": "learning_rate", "lambda": "lam", "alpha": "alpha",
-                "out_layers": "out_layers", "dim": "rep_dim", "gcn_layers": "gcn_layers",
-                "epochs": "epochs"}
+# the training axes, as grid file keys, train flags (argparse dest names) and grid
+# columns in order; each train flag takes its default and type from its TrainConfig field
+GRID_KEY_MAP = {"lr": "learning_rate", "alpha": "alpha", "lambda": "lam", "gcn_layers": "gcn_layers",
+                "out_layers": "out_layers", "dim": "rep_dim", "epochs": "epochs"}
+
+
+def _axis_values(cfg: TrainConfig) -> list:
+    """cfg on each axis, as printed: repr(float(v)) where the TrainConfig default is a float, else str."""
+    return [(nio._fmt if isinstance(getattr(TrainConfig, name), float) else str)(getattr(cfg, name))
+            for name in GRID_KEY_MAP.values()]
 
 
 def expand_grid_file(axes: dict, seed: int) -> list:
@@ -162,22 +171,17 @@ def cmd_grid(args) -> int:
     cells = expand_grid_file(_load_json_object(args.grid, "grid"), seed=args.seed)
     split = make_split(ds.n, ds.t, args.seed)
     best_cfg, _, best_report, records = grid_search(ds, split, cells)
+    _warn_unconverged(best_cfg, best_report)
 
-    header = ["lr", "alpha", "lambda", "gcn_layers", "out_layers", "dim", "epochs", "val_mse", "status"]
-    lines = ["\t".join(header)]
+    lines = ["\t".join([*GRID_KEY_MAP, "val_mse", "status"])]
     for rec in records:
-        c = rec.cfg
         status = "ok" if rec.error is None else f"failed: {rec.error}"
         val = nio._fmt(rec.val_mse) if rec.val_mse is not None else "-"
-        lines.append("\t".join([nio._fmt(c.learning_rate), nio._fmt(c.alpha), nio._fmt(c.lam),
-                                str(c.gcn_layers), str(c.out_layers), str(c.rep_dim), str(c.epochs),
-                                val, status]))
+        lines.append("\t".join([*_axis_values(rec.cfg), val, status]))
     grid_table = "\n".join(lines) + "\n"
     print(grid_table, end="")
-    print("winner\tlr=%s\talpha=%s\tlambda=%s\tout_layers=%d\tdim=%d\tepochs=%d"
-          % (nio._fmt(best_cfg.learning_rate), nio._fmt(best_cfg.alpha),
-             nio._fmt(best_cfg.lam), best_cfg.out_layers, best_cfg.rep_dim, best_cfg.epochs))
-    _print_results(Path(args.data).name, args.seed, best_report)
+    print("\t".join(["winner", *map("=".join, zip(GRID_KEY_MAP, _axis_values(best_cfg)))]))
+    _print_results(Path(args.data).name, args.seed, best_report.splits)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "grid.tsv").write_text(grid_table)
@@ -191,9 +195,7 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_CHECKPOINT,
                        f"checkpoint expects {params.num_features} features, dataset has {ds.x.shape[1]}")
     split = make_split(ds.n, ds.t, seed)
-    splits = evaluate(params, ds, split, normalize_adjacency(ds.net))
-    report = MetricsReport(splits=splits)
-    _print_results(Path(args.data).name, seed, report)
+    _print_results(Path(args.data).name, seed, evaluate(params, ds, split, normalize_adjacency(ds.net)))
     return 0
 
 
@@ -226,13 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("train", help="train one model on a dataset directory")
     s.add_argument("--data", required=True)
-    s.add_argument("--alpha", type=float, default=1e-4)
-    s.add_argument("--lambda", type=float, default=1e-4)
-    s.add_argument("--lr", type=float, default=1e-2)
-    s.add_argument("--epochs", type=int, default=200)
-    s.add_argument("--gcn-layers", type=int, default=2)
-    s.add_argument("--out-layers", type=int, default=2)
-    s.add_argument("--dim", type=int, default=100)
+    for key, name in GRID_KEY_MAP.items():
+        default = getattr(TrainConfig, name)
+        s.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--ablation-identity", action="store_true",
                    help="train on the network without its edges (network-blind)")

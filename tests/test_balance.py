@@ -352,6 +352,28 @@ def test_w1_memory_in_reused_buffers():
     assert read < 6 * unit
 
 
+def test_w1_backward_holds_two_iterate_histories():
+    """Beyond what the result holds, the gradient read keeps two iterate
+    histories per segment, X and Y, together T (n1 + n0) floats: it scales
+    them in place from v/b and u/a. Holding u/a, v/b, -u and -v besides
+    took about 3 such units. At 40 x 40 with tol 0 and a cap of 4000 the
+    histories outweigh every n1 x n0 buffer."""
+    a, b = gaussian_groups(0, 40, 40, 3)
+    cfg = SinkhornConfig(max_iters=4000, convergence_tol=0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = wasserstein1(a, b, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        res.grad_treated
+        read = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 4000
+    assert read - held < 1.5 * res.iterations * (a.shape[0] + b.shape[0]) * 8
+
+
 # Property tests of the W1 invariants. Coordinates lie on a grid of
 # spacing 1/4, so two points either coincide or lie at least 1/4 apart,
 # and rounding in a translation cannot merge or split them.

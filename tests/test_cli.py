@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from netite.cli import expand_grid_file, main
+from netite.cli import build_parser, expand_grid_file, main
+from netite.runner import TrainConfig
 
 SIM_JSON = dict(n=60, k=5, vocab=30, words_per_doc=25, target_degree=6.0)
 
@@ -240,6 +241,29 @@ def test_train_warns_on_unconverged_sinkhorn(tmp_path, capsys, monkeypatch):
     assert warned.err.startswith("warning:") and "10 of 10 epochs" in warned.err
 
 
+def test_grid_warns_on_unconverged_sinkhorn(tmp_path, capsys, monkeypatch):
+    """grid surfaces its winning cell's unconverged Sinkhorn epochs as train
+    does: one stderr line, and stdout as in a clean run."""
+    import netite.runner
+
+    out = simulate_dir(tmp_path, capsys=capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"epochs": [3, 4], "dim": [8], "gcn_layers": [1]}))
+    args = ["grid", "--data", str(out / "rep_0"), "--grid", str(grid)]
+    assert main(args) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    real = netite.runner.wasserstein1
+    monkeypatch.setattr(netite.runner, "wasserstein1",
+                        lambda *a, **kw: real(*a, **kw)._replace(converged=False))
+    assert main(args) == 0
+    warned = capsys.readouterr()
+    assert warned.out == clean.out
+    assert warned.err.count("\n") == 1 and warned.err.startswith("warning:")
+    winner = dict(kv.split("=") for kv in warned.out.splitlines()[3].split("\t")[1:])
+    assert f"{winner['epochs']} of {winner['epochs']} epochs" in warned.err
+
+
 def test_eval_reproduces_training_metrics(tmp_path, capsys):
     out = simulate_dir(tmp_path, capsys=capsys)
     ckpt = tmp_path / "model.ckpt"
@@ -319,6 +343,30 @@ def test_grid_command(tmp_path, capsys):
     assert all(l.split("\t")[3:7] == ["1", "1", "8", "5"] for l in grid_tsv[1:])
     assert len(grid_tsv) == 3  # header + 2 cells
     assert all(l.split("\t")[-1] == "ok" for l in grid_tsv[1:])
+
+
+def test_grid_winner_line_names_every_axis(tmp_path, capsys):
+    """The winner line holds the header's axes in the header's order, with
+    the values of the ok row of lowest val_mse."""
+    out = simulate_dir(tmp_path, capsys=capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"gcn_layers": [1, 2], "epochs": [3], "dim": [8]}))
+    assert main(["grid", "--data", str(out / "rep_0"), "--grid", str(grid)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, rows = lines[0].split("\t"), [l.split("\t") for l in lines[1:3]]
+    assert header[-2:] == ["val_mse", "status"] and "gcn_layers" in header
+    best = min((r for r in rows if r[-1] == "ok"), key=lambda r: float(r[-2]))
+    assert lines[3].split("\t") == ["winner", *(f"{k}={v}" for k, v in zip(header[:-2], best))]
+
+
+def test_train_flag_defaults_are_train_config_defaults():
+    args = build_parser().parse_args(["train", "--data", "d"])
+    defaults = TrainConfig()
+    for flag, name in [("lr", "learning_rate"), ("alpha", "alpha"), ("lambda", "lam"),
+                       ("gcn_layers", "gcn_layers"), ("out_layers", "out_layers"), ("dim", "rep_dim"),
+                       ("epochs", "epochs")]:
+        value = getattr(defaults, name)
+        assert getattr(args, flag) == value and type(getattr(args, flag)) is type(value)
 
 
 def test_grid_unknown_axis(tmp_path, capsys):
