@@ -181,18 +181,14 @@ def _check_block(cells: int) -> int:
     return max(1, min(32, 2**14 // cells))
 
 
-def _kernel(k: np.ndarray, f, g) -> np.ndarray:
+def _kernel(k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Turn B, held in k, into K = exp(f + g - B) in place, with f + g - B
     formed in blocks of about 2^16 cells, so no full-size temporary is
-    made. f = g = None stands for zero potentials: K is exp(-B), since
-    0 - B is -B and exp(-0) = exp(0)."""
-    if f is None:
-        np.negative(k, out=k)
-    else:
-        step = max(1, 2**16 // k.shape[1])
-        for r in range(0, k.shape[0], step):
-            rows = slice(r, r + step)
-            np.subtract(f[rows, None] + g, k[rows], out=k[rows])
+    made."""
+    step = max(1, 2**16 // k.shape[1])
+    for r in range(0, k.shape[0], step):
+        rows = slice(r, r + step)
+        np.subtract(f[rows, None] + g, k[rows], out=k[rows])
     np.exp(k, out=k)
     return k
 
@@ -217,12 +213,11 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     n1, n0 = c.shape
     a, b = 1.0 / n1, 1.0 / n0
     k = np.divide(c, eps)
-    f = g = None  # zero potentials, until a start or a fold shifts them
-    v = np.full(n0, b)
+    f, g = np.zeros(n1), np.zeros(n0)
     if k.max() > math.log(_BOUND):
         f = k.min(axis=1)
         g = (k - f[:, None]).min(axis=0)
-        v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
+    v = b * np.exp(-g)  # the true start v_0 = b, whatever g is
     block = _check_block(n1 * n0)
     work = np.empty(n1 * n0)
     kt = work.reshape(n0, n1)
@@ -282,7 +277,7 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
         if keep == len(ok):
             break
         phi, psi = np.log(u_hist[keep - 1] / a), np.log(v_hist[keep] / b)
-        f, g = (phi, psi) if f is None else (f + phi, g + psi)
+        f, g = f + phi, g + psi
         v = np.full(n0, b)
         np.divide(c, eps, out=k)
 
@@ -344,17 +339,21 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     return g_b
 
 
+def _groups(treated, control):
+    """The two row sets as float64 copies of shape (points, dims). A 1-D
+    input is one point, and a group that holds no value is empty."""
+    treated, control = (np.atleast_2d(np.array(x, dtype=np.float64)) for x in (treated, control))
+    if treated.size == 0 or control.size == 0:
+        raise DegenerateGroupsError("both treatment groups must be nonempty")
+    return treated, control
+
+
 def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) -> W1Result:
     """Approximate W1 between the uniform empirical measures on the two
     row sets. The gradient of that value with respect to each row is
     computed on the first read of either gradient field, from copies of
     the rows taken now."""
-    treated = np.atleast_2d(np.array(treated, dtype=np.float64))
-    control = np.atleast_2d(np.array(control, dtype=np.float64))
-    n1, n0 = treated.shape[0], control.shape[0]
-    if n1 == 0 or n0 == 0:
-        raise DegenerateGroupsError("both treatment groups must be nonempty")
-
+    treated, control = _groups(treated, control)
     c = cdist(treated, control)
     if not np.all(np.isfinite(c)):
         raise NumericError("non-finite pairwise cost")
@@ -399,18 +398,13 @@ def exact_w1_oracle(treated: np.ndarray, control: np.ndarray) -> float:
     """Exact W1 between equal-size uniform empirical measures by
     enumerating all permutation couplings (optimal for this case).
     Supports group sizes up to 8."""
-    treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
-    control = np.atleast_2d(np.asarray(control, dtype=np.float64))
+    treated, control = _groups(treated, control)
     n = treated.shape[0]
     if control.shape[0] != n:
         raise ValueError("oracle requires equal group sizes")
-    if n == 0 or n > 8:
+    if n > 8:
         raise ValueError("oracle supports sizes 1..8")
-    c = cdist(treated, control)
-    best = math.inf
-    rows = range(n)
-    for perm in itertools.permutations(rows):
-        cost = sum(c[i, perm[i]] for i in rows) / n
-        if cost < best:
-            best = cost
-    return best
+    perms = np.array(list(itertools.permutations(range(n))))
+    # each coupling's cost summed in index order, as a running sum
+    costs = cdist(treated, control)[np.arange(n), perms].cumsum(axis=1)[:, -1] / n
+    return float(costs.min())

@@ -315,7 +315,7 @@ RESULT_COLUMNS = ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]
 
 
 def format_results_rows(dataset: str, rep, split_metrics: dict) -> str:
-    """Rows of results.tsv for one run (no header)."""
+    """Rows of the table that `train`, `eval` and `grid` print, for one run (no header)."""
     lines = []
     for split in ("train", "valid", "test"):
         sm = split_metrics[split]

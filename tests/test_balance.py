@@ -1,18 +1,26 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+import netite
 from netite import balance
 from netite.balance import (
     DegenerateGroupsError,
     SinkhornConfig,
     _check_block,
+    _kernel,
     _median_with_support,
     exact_w1_oracle,
     wasserstein1,
@@ -44,6 +52,42 @@ def test_empty_group_raises():
         wasserstein1(np.empty((0, 2)), np.ones((2, 2)), SinkhornConfig())
 
 
+# np.atleast_2d turns an empty 1-D input into one point with no
+# coordinates, shape (1, 0); that group is empty too.
+def test_empty_1d_groups_raise():
+    with pytest.raises(DegenerateGroupsError):
+        wasserstein1([], [], SinkhornConfig())
+    with pytest.raises(DegenerateGroupsError):
+        wasserstein1([], [[1.0, 2.0]], SinkhornConfig())
+    with pytest.raises(DegenerateGroupsError):
+        exact_w1_oracle([], [])
+    with pytest.raises(DegenerateGroupsError):
+        exact_w1_oracle(np.empty((0, 2)), np.empty((0, 2)))
+
+
+# Zero potentials are zero arrays: exp(0 + 0 - B) equals exp(-B) bit for
+# bit, on a B with zero entries, on one row, and on blocks of 2^16 cells
+# (several per matrix, or rows wider than one).
+@pytest.mark.parametrize("shape", [(5, 4), (1, 7), (200, 1000), (3, 70_000)])
+def test_kernel_at_zero_potentials_is_exp_minus_b(shape):
+    rng = make_rng(11)
+    b_mat = rng.exponential(50.0, size=shape)
+    b_mat[rng.random(shape) < 0.3] = 0.0
+    got = _kernel(b_mat.copy(), np.zeros(shape[0]), np.zeros(shape[1]))
+    assert got.tobytes() == np.exp(-b_mat).tobytes()
+
+
+# Importing scipy.optimize adds about 10 MB to a process's peak resident
+# memory, so the package must not import it, nor csgraph.
+def test_import_leaves_out_scipy_optimize_and_csgraph():
+    code = ("import sys, netite; "
+            "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))])")
+    env_path = str(Path(netite.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": env_path})
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 2.5), ("max_iters", True), ("entropic_reg", math.inf), ("entropic_reg", math.nan),
     ("entropic_reg", True), ("convergence_tol", math.nan), ("convergence_tol", -1.0),
@@ -72,6 +116,24 @@ def test_oracle_rejects_unequal_or_large():
         exact_w1_oracle(np.ones((2, 1)), np.ones((3, 1)))
     with pytest.raises(ValueError):
         exact_w1_oracle(np.ones((9, 1)), np.ones((9, 1)))
+
+
+def loop_w1_oracle(a, b):
+    """`exact_w1_oracle` as a loop over the permutations, each coupling's
+    cost summed left to right."""
+    c = cdist(a, b)
+    return min(sum(c[i, perm[i]] for i in range(len(a))) / len(a)
+               for perm in itertools.permutations(range(len(a))))
+
+
+# The oracle's one array expression adds each coupling's costs in the
+# loop's order, so the two agree bit for bit.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_equals_loop_over_permutations(n):
+    rng = make_rng(30 + n)
+    for d, scale in ((1, 1e-2), (2, 1.0), (3, 1e2)):
+        a, b = rng.normal(size=(n, d)) * scale, rng.normal(size=(n, d)) * scale
+        assert float.hex(exact_w1_oracle(a, b)) == float.hex(float(loop_w1_oracle(a, b)))
 
 
 def test_symmetry():
@@ -425,6 +487,29 @@ def test_w1_oracle_gap_equal_groups(n, d, seed, scale, shift):
     a, b = gaussian_groups(seed, n, n, d)
     a, b = a * scale + shift, b * scale + shift
     exact = exact_w1_oracle(a, b)
+    assert abs(wasserstein1(a, b, TIGHT).dist - exact) / max(exact, 1e-12) < 0.05
+
+
+def exact_w1_unequal(a, b):
+    """Exact W1 between the uniform measures on a and b: with each row of a
+    repeated lcm/n1 times and each row of b lcm/n0 times, both are uniform
+    on lcm points, and an optimal coupling is a permutation."""
+    m = math.lcm(a.shape[0], b.shape[0])
+    c = cdist(np.repeat(a, m // a.shape[0], axis=0), np.repeat(b, m // b.shape[0], axis=0))
+    rows, cols = linear_sum_assignment(c)
+    return c[rows, cols].sum() / m
+
+
+# The unequal-size twin of the test above, against an assignment on the
+# replicated cost matrix.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.floats(1e-2, 1e2), st.floats(-100, 100))
+def test_w1_oracle_gap_unequal_groups(n1, n0, d, seed, scale, shift):
+    assume(n1 != n0)
+    a, b = gaussian_groups(seed, n1, n0, d)
+    a, b = a * scale + shift, b * scale + shift
+    exact = exact_w1_unequal(a, b)
     assert abs(wasserstein1(a, b, TIGHT).dist - exact) / max(exact, 1e-12) < 0.05
 
 
