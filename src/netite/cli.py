@@ -6,13 +6,13 @@ train and eval take --ablation-identity, the network-blind ablation: the
 dataset is read with its edges removed, and nothing else changes.
 Exit codes: 0 success, 2 bad configuration (a count flag below 1 or a
 negative seed too), missing input file or unsupported dataset format
-version, 3 I/O failure or malformed dataset file, 4 degenerate split,
-5 non-finite loss, floating-point overflow or a grid whose every cell
-failed, 6 checkpoint mismatch, 7 gradient check failure. main runs each
-command under np.errstate (raise on all but underflow) and turns errors
-into codes through EXIT_CODES; a command maps an error itself only where
-its type means another code there. Every command is deterministic given
-identical inputs and seed.
+version, 3 I/O failure or malformed dataset file, 4 degenerate split, 5
+non-finite loss, floating-point overflow or a grid whose every cell
+failed, 6 corrupt or mismatched checkpoint, 7 gradient check failure.
+main runs each command under np.errstate (raise on all but underflow)
+and turns errors into codes through EXIT_CODES; a command maps an error
+itself only where its type means another code there. Every command is
+deterministic given identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -110,9 +110,22 @@ def _read_dataset(path, drop_edges: bool = False):
     return dataclasses.replace(ds, net=Network(ds.n)) if drop_edges else ds
 
 
-def _print_results(name: str, rep, splits: dict):
-    print("\t".join(nio.RESULT_COLUMNS))
-    print(nio.format_results_rows(name, rep, splits), end="")
+RESULT_COLUMNS = ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def _tsv(header: list, rows) -> str:
+    """A tab-separated table: the header line, then one line per row of fields."""
+    return "".join("\t".join(fields) + "\n" for fields in [header, *rows])
+
+
+def format_results(dataset: str, rep, splits: dict) -> str:
+    """The table that train, eval and grid print for one run: one row per split, in the order of `splits`."""
+    return _tsv(RESULT_COLUMNS, ([dataset, str(rep), name, *map(_fmt, (sm.pehe_sqrt, sm.ate_err, sm.factual_mse))]
+                                 for name, sm in splits.items()))
 
 
 def _warn_unconverged(cfg: TrainConfig, report) -> None:
@@ -132,7 +145,7 @@ def cmd_train(args) -> int:
             nio.save_checkpoint(args.checkpoint, params, cfg.seed)
         except OSError as exc:  # a missing directory is an I/O failure here, not a missing input
             raise CliError(EXIT_IO, f"cannot write checkpoint {args.checkpoint}: {exc}")
-    _print_results(Path(args.data).name, args.seed, report.splits)
+    print(format_results(Path(args.data).name, args.seed, report.splits), end="")
     return 0
 
 
@@ -144,7 +157,7 @@ GRID_KEY_MAP = {"lr": "learning_rate", "alpha": "alpha", "lambda": "lam", "gcn_l
 
 def _axis_values(cfg: TrainConfig) -> list:
     """cfg on each axis, as printed: repr(float(v)) where the TrainConfig default is a float, else str."""
-    return [(nio._fmt if isinstance(getattr(TrainConfig, name), float) else str)(getattr(cfg, name))
+    return [(_fmt if isinstance(getattr(TrainConfig, name), float) else str)(getattr(cfg, name))
             for name in GRID_KEY_MAP.values()]
 
 
@@ -173,15 +186,12 @@ def cmd_grid(args) -> int:
     best_cfg, _, best_report, records = grid_search(ds, split, cells)
     _warn_unconverged(best_cfg, best_report)
 
-    lines = ["\t".join([*GRID_KEY_MAP, "val_mse", "status"])]
-    for rec in records:
-        status = "ok" if rec.error is None else f"failed: {rec.error}"
-        val = nio._fmt(rec.val_mse) if rec.val_mse is not None else "-"
-        lines.append("\t".join([*_axis_values(rec.cfg), val, status]))
-    grid_table = "\n".join(lines) + "\n"
+    grid_table = _tsv([*GRID_KEY_MAP, "val_mse", "status"],
+                      ([*_axis_values(rec.cfg), "-" if rec.val_mse is None else _fmt(rec.val_mse),
+                        "ok" if rec.error is None else f"failed: {rec.error}"] for rec in records))
     print(grid_table, end="")
     print("\t".join(["winner", *map("=".join, zip(GRID_KEY_MAP, _axis_values(best_cfg)))]))
-    _print_results(Path(args.data).name, args.seed, best_report.splits)
+    print(format_results(Path(args.data).name, args.seed, best_report.splits), end="")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "grid.tsv").write_text(grid_table)
@@ -194,8 +204,8 @@ def cmd_eval(args) -> int:
     if params.num_features != ds.x.shape[1]:
         raise CliError(EXIT_CHECKPOINT,
                        f"checkpoint expects {params.num_features} features, dataset has {ds.x.shape[1]}")
-    split = make_split(ds.n, ds.t, seed)
-    _print_results(Path(args.data).name, seed, evaluate(params, ds, split, normalize_adjacency(ds.net)))
+    splits = evaluate(params, ds, make_split(ds.n, ds.t, seed), normalize_adjacency(ds.net))
+    print(format_results(Path(args.data).name, seed, splits), end="")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Dataset directory, checkpoint, and results file formats.
+"""Dataset directory and checkpoint file formats.
 
 Dataset directory layout:
   edges.tsv     one "i<TAB>j" line per undirected edge, 0-indexed, i < j
@@ -34,21 +34,22 @@ It raises ValueError, prefixed with the file's name, when
                 are not 0..n-1 each exactly once, t is not 0 or 1, or a
                 value of a float column (yf, ycf, mu0, mu1, prob_t) is
                 not finite.
-A line that does not parse (a wrong field count, or a field that is not
-a number of its column's type) is named by its line in the file, blank
-lines and the header counted. Blank lines are skipped; nothing else is.
+A line of a dataset file or checkpoint that does not parse (a wrong
+field count, or a field that is not a number of its column's type) is
+named by its line in the file, blank lines and the header counted.
+Blank lines are skipped; nothing else is.
 
 Checkpoints are decimal text: a fixed header (format version, seed,
 num_features, gcn_dims, head_dims, value count) followed by the flat
 parameter vector ModelParams.theta, one shortest-round-trip value per
 line, in the order documented on ModelParams. head_dims lists the hidden
-widths only; each head's regression layer, of width 1, follows them. Blank lines among the
-values are skipped, as in dataset files. load_checkpoint builds
-ModelParams from the header dims and the values, so a value count other
-than the header's, a header that does not match its values, a
-dimension below 1 or a non-finite value raises CheckpointError. All
-floats everywhere are written with repr() so a load(save(x)) round trip
-is bit exact.
+widths only; each head's regression layer, of width 1, follows them.
+Blank lines among the values are skipped, as in dataset files.
+load_checkpoint builds ModelParams from the header dims and the values,
+so a value count other than the header's, a header that does not match
+its values, a dimension below 1, a negative seed or a non-finite value
+raises CheckpointError. All floats everywhere are written with repr() so
+a load(save(x)) round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ NODE_COLUMNS_OBS = ["id", "t", "yf"]
 CHUNK_LINES = 1 << 16  # feature or checkpoint lines per write, feature lines per parse
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-_EDGE = np.dtype([("i", np.int64), ("j", np.int64)])  # an edges.tsv line, to find a bad one
+_EDGE = np.dtype([("i", np.int64), ("j", np.int64)])
 
 
 class CheckpointError(ValueError):
@@ -84,10 +85,6 @@ class CheckpointError(ValueError):
 
 class DatasetVersionError(ValueError):
     """meta.json is unparsable or does not declare FORMAT_VERSION."""
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def write_dataset(dirpath, ds: NetworkedDataset, cfg: SimConfig | None = None,
@@ -145,13 +142,13 @@ def _blame(path: Path):
         raise ValueError(f"{path.name}: {exc}") from None
 
 
-def _load_table(source, dtype, skiprows: int = 0, ndmin: int = 1) -> np.ndarray:
+def _load_table(source, dtype, skiprows: int = 0) -> np.ndarray:
     """A whitespace-separated table in one np.loadtxt call, from a path
     (the whole file) or an iterable of lines (one chunk of a file); no
     rows give an empty array without loadtxt's no-data warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, dtype=dtype, comments=None, skiprows=skiprows, ndmin=ndmin)
+        return np.loadtxt(source, dtype=dtype, comments=None, skiprows=skiprows, ndmin=1)
 
 
 def _bad_line(path: Path, exc: ValueError, dtype, start: int = 1, count: int | None = None) -> ValueError:
@@ -233,13 +230,11 @@ def read_dataset(dirpath) -> NetworkedDataset:
     path = dirpath / "edges.tsv"
     with _blame(path):
         try:
-            pairs = _load_table(path, np.int64, ndmin=2)
+            edges = _load_table(path, _EDGE)
         except ValueError as exc:
             raise _bad_line(path, exc, _EDGE) from None
-        if pairs.size and pairs.shape[1] != 2:
-            raise ValueError(f"lines hold {pairs.shape[1]} fields, expected 2")
-        net = Network.from_pairs(n, pairs)
-        if pairs.size and (net.num_edges != pairs.shape[0] or np.any(pairs[:, 0] > pairs[:, 1])):
+        net = Network.from_pairs(n, edges.view(np.int64))
+        if net.num_edges != edges.size or np.any(edges["i"] > edges["j"]):
             raise ValueError("an edge is listed twice or as i > j")
 
     path = dirpath / "nodes.tsv"
@@ -285,9 +280,10 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 
 def load_checkpoint(path):
     """Returns (params, seed). Raises CheckpointError on a corrupt file:
-    a malformed or unsupported header, a dimension below 1, an empty dims
-    list, a value count that does not match the dims, an unparsable or
-    non-finite value, or more or fewer values than the header declares."""
+    a malformed or unsupported header, a negative seed, a dimension below
+    1, an empty dims list, a value count that does not match the dims, an
+    unparsable or non-finite value, or more or fewer values than the
+    header declares."""
     try:
         with open(path) as f:
             header = {}
@@ -297,29 +293,22 @@ def load_checkpoint(path):
             if int(header["format"]) != FORMAT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint format {header['format']}")
         count = int(header["values"])
-        theta = _load_table(path, np.float64, skiprows=6)
+        try:
+            theta = _load_table(path, np.float64, skiprows=6)
+        except ValueError as exc:
+            raise _bad_line(path, exc, np.float64, start=7) from None
         if theta.shape != (count,):
             raise CheckpointError(f"checkpoint {path} holds {theta.size} values, its header declares {count}")
         if not np.all(np.isfinite(theta)):
             raise CheckpointError(f"checkpoint {path} holds a non-finite value")
+        seed = int(header["seed"])
+        if seed < 0:
+            raise CheckpointError(f"checkpoint {path} has a negative seed {seed}")
         params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
                              [int(d) for d in header["head_dims"].split(",")], theta)
-        return params, int(header["seed"])
+        return params, seed
     except CheckpointError:
         raise
     except (ValueError, KeyError, IndexError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
 
-
-RESULT_COLUMNS = ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]
-
-
-def format_results_rows(dataset: str, rep, split_metrics: dict) -> str:
-    """Rows of the table that `train`, `eval` and `grid` print, for one run (no header)."""
-    lines = []
-    for split in ("train", "valid", "test"):
-        sm = split_metrics[split]
-        lines.append("\t".join(
-            [dataset, str(rep), split, _fmt(sm.pehe_sqrt), _fmt(sm.ate_err), _fmt(sm.factual_mse)]
-        ))
-    return "\n".join(lines) + "\n"

@@ -23,17 +23,18 @@ class NumericError(ValueError):
 
 def check_fields(obj, names: str, low=None, *, integer: bool = False, strict: bool = False) -> None:
     """Raise ValueError unless every field of obj named in `names` (space
-    separated) is an integer (integer=True) or a finite real number, never
-    a bool, and is >= low (> low when strict)."""
+    separated) is an integer below 2**63, numpy's int64 range (integer=True),
+    or a finite real number, never a bool, and is >= low (> low when strict)."""
     for name in names.split():
         value = getattr(obj, name)
         ok = (isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
-              and (integer or math.isfinite(value)))
+              and (value < 2**63 if integer else math.isfinite(value)))
         if ok and low is not None:
             ok = value > low if strict else value >= low
         if not ok:
             bound = "" if low is None else f" {'>' if strict else '>='} {low}"
-            raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
+            kind = f"an integer{bound} and below 2**63" if integer else f"a finite number{bound}"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .balance import SinkhornConfig, wasserstein1
 from .graph import Network, normalize_adjacency

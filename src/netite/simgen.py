@@ -13,7 +13,7 @@ n x n float64 weight buffer (see gen_network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -55,7 +55,6 @@ class NetworkedDataset:
     mu0: np.ndarray | None  # noiseless expected outcome under control
     mu1: np.ndarray | None  # noiseless expected outcome under treatment
     prob_t: np.ndarray | None  # Pr(t=1 | x, A)
-    topics: np.ndarray | None = None  # hidden mixtures; never a model input
 
     @property
     def n(self) -> int:
@@ -162,4 +161,4 @@ def simulate(cfg: SimConfig, stream: int = 0, noise_std: float = 1.0) -> Network
     centroids = pick_centroids(r, rng)
     t, prob_t, p0, p1 = assign_treatments(r, net, centroids, cfg, rng)
     yf, ycf, mu0, mu1 = gen_outcomes(p0, p1, t, cfg, rng, noise_std=noise_std)
-    return NetworkedDataset(x=x, net=net, t=t, yf=yf, ycf=ycf, mu0=mu0, mu1=mu1, prob_t=prob_t, topics=r)
+    return NetworkedDataset(x=x, net=net, t=t, yf=yf, ycf=ycf, mu0=mu0, mu1=mu1, prob_t=prob_t)

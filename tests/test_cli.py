@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from netite.cli import build_parser, expand_grid_file, main
-from netite.runner import TrainConfig
+from netite.cli import RESULT_COLUMNS, build_parser, expand_grid_file, format_results, main
+from netite.runner import SplitMetrics, TrainConfig
 
 SIM_JSON = dict(n=60, k=5, vocab=30, words_per_doc=25, target_degree=6.0)
 
@@ -108,9 +108,10 @@ def test_simulate_no_confounding_balanced(tmp_path, capsys):
     {"dirichlet_alpha": -1.0}, {"topic_word_alpha": 0.0},
     {"scale_c": float("nan")},  # used to write NaN outcomes
     {"kappa1": float("inf")},
+    {"words_per_doc": 10**19}, {"n": 10**19},  # beyond int64: numpy used to raise
 ], ids=["homophily-nan", "homophily-overflow", "negative-degree", "float-n", "float-k", "float-seed",
         "bool-n", "float-words-per-doc", "negative-dirichlet-alpha", "zero-topic-word-alpha",
-        "nan-scale", "inf-kappa1"])
+        "nan-scale", "inf-kappa1", "words-per-doc-beyond-int64", "n-beyond-int64"])
 def test_simulate_edgeless_config_exits_2(tmp_path, capsys, extra):
     cfg = write_sim_config(tmp_path, **extra)
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--reps", "1"])
@@ -136,6 +137,15 @@ def test_train_prints_results_table(tmp_path, capsys):
         vals = row.split("\t")
         assert vals[0] == "rep_0"
         assert all(np.isfinite(float(v)) for v in vals[3:])
+
+
+def test_results_table_format():
+    sm = SplitMetrics(pehe_sqrt=1.5, ate_err=0.25, factual_mse=2.0)
+    header, *lines = format_results("rep_0", 3, {"train": sm, "valid": sm, "test": sm}).splitlines()
+    assert len(lines) == 3
+    assert lines[0].split("\t") == ["rep_0", "3", "train", "1.5", "0.25", "2.0"]
+    assert [l.split("\t")[2] for l in lines] == ["train", "valid", "test"]
+    assert header.split("\t") == RESULT_COLUMNS == ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]
 
 
 def test_train_byte_deterministic(tmp_path, capsys):
@@ -197,9 +207,9 @@ def test_train_non_finite_gradient_exits_5(tmp_path, capsys, monkeypatch):
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("flags", [["--epochs", "-5"], ["--lr", "-1"], ["--lr", "nan"],
                                    ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"],
-                                   ["--seed", "-1"]],
-                         ids=["negative-epochs", "negative-lr", "nan-lr",
-                              "nan-alpha", "nan-lambda", "inf-alpha", "negative-seed"])
+                                   ["--seed", "-1"], ["--dim", str(10**19)], ["--gcn-layers", str(10**19)]],
+                         ids=["negative-epochs", "negative-lr", "nan-lr", "nan-alpha", "nan-lambda",
+                              "inf-alpha", "negative-seed", "dim-beyond-int64", "gcn-layers-beyond-int64"])
 def test_train_bad_config_exits_2(tmp_path, capsys, flags):
     out = simulate_dir(tmp_path, capsys=capsys)
     rc = main(["train", "--data", str(out / "rep_0"), *TRAIN_FAST, *flags])
@@ -325,6 +335,20 @@ def test_eval_checkpoint_dimension_below_one_exits_6(tmp_path, capsys):
     assert rc == 6
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_eval_negative_checkpoint_seed_exits_6(tmp_path, capsys):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt), *TRAIN_FAST]) == 0
+    capsys.readouterr()
+    lines = ckpt.read_text().splitlines()
+    lines[1] = "seed -1"
+    ckpt.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--data", str(out / "rep_0"), "--checkpoint", str(ckpt)])
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "negative seed" in captured.err
 
 
 def test_grid_command(tmp_path, capsys):

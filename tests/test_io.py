@@ -13,7 +13,7 @@ from netite import io as nio
 from netite.graph import Network
 from netite.linalg import make_rng
 from netite.model import init_params
-from netite.runner import SplitMetrics, TrainConfig
+from netite.runner import TrainConfig
 from netite.simgen import NetworkedDataset, SimConfig, simulate
 
 
@@ -198,6 +198,7 @@ MALFORMED = {
     "two-field triplet line": ("features.mtx", lambda lines: lines.__setitem__(4, lines[4].rsplit(" ", 1)[0])),
     "four-field triplet line": ("features.mtx", lambda lines: lines.__setitem__(4, lines[4] + " 1.0")),
     "unparsable edge index on line 3": ("edges.tsv", _set_field(2, 0, "x")),
+    "three-field edge line": ("edges.tsv", lambda lines: lines.__setitem__(slice(None), [l + "\t7" for l in lines])),
     "unparsable yf": ("nodes.tsv", _set_field(3, 2, "x")),
 }
 
@@ -209,6 +210,7 @@ BAD_LINE = {
     "four-field triplet line": 5,
     "unparsable edge index on line 3": 3,
     "non-integer edge index": 1,
+    "three-field edge line": 1,
     "t is not an integer": 2,
     "unparsable yf": 4,
 }
@@ -454,11 +456,20 @@ def test_checkpoint_blank_lines_among_values_load(tmp_path):
     assert nio.load_checkpoint(path)[0].flatten().tobytes() == p.flatten().tobytes()
 
 
-def test_results_rows_format():
-    sm = SplitMetrics(pehe_sqrt=1.5, ate_err=0.25, factual_mse=2.0)
-    rows = nio.format_results_rows("rep_0", 3, {"train": sm, "valid": sm, "test": sm})
-    lines = rows.splitlines()
-    assert len(lines) == 3
-    assert lines[0].split("\t") == ["rep_0", "3", "train", "1.5", "0.25", "2.0"]
-    assert [l.split("\t")[2] for l in lines] == ["train", "valid", "test"]
-    assert nio.RESULT_COLUMNS == ["dataset", "rep", "split", "pehe_sqrt", "ate_err", "mse"]
+
+def test_checkpoint_negative_seed_raises(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    _edit_lines(path, lambda lines: lines.__setitem__(1, "seed -1"))
+    with pytest.raises(nio.CheckpointError, match="negative seed"):
+        nio.load_checkpoint(path)
+
+
+def test_checkpoint_bad_value_names_the_file_line(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    # two blank lines (file lines 9 and 10) before the bad value on file line 13
+    _edit_lines(path, lambda lines: (lines.insert(8, ""), lines.insert(8, ""), lines.__setitem__(12, "x")))
+    with pytest.raises(nio.CheckpointError, match=r": line 13: ") as info:
+        nio.load_checkpoint(path)
+    assert "at row" not in str(info.value) and "\n" not in str(info.value)
