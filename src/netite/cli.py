@@ -212,8 +212,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise CliError(EXIT_BAD_CONFIG, f"--instances must be >= 1, got {args.instances}")
-    if args.seed < 0:
-        raise CliError(EXIT_BAD_CONFIG, f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed <= 2**63 - args.instances:  # instance k runs on seed + k
+        raise CliError(EXIT_BAD_CONFIG, f"--seed must be >= 0 and --seed + --instances <= 2**63, got {args.seed}")
     worst = max(fd_max_rel_err(args.seed + k) for k in range(args.instances))
     print(f"max_rel_err\t{worst:.3e}")
     if worst >= 1e-4:

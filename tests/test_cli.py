@@ -78,8 +78,9 @@ def test_simulate_config_not_an_object_exits_2(tmp_path, capsys, text, extra):
     (["gradcheck", "--instances", "0"], "must be >= 1"),
     (["simulate", "--out", "d", "--reps", "0"], "must be >= 1"),
     (["gradcheck", "--seed", "-1"], "--seed must be >= 0"),
+    (["gradcheck", "--seed", str(2**63 - 1), "--instances", "2"], "--seed + --instances <= 2**63"),
     (["simulate", "--out", "d", "--reps", "1", "--seed", "-1"], "seed must be an integer >= 0"),
-], ids=["instances", "reps", "gradcheck-negative-seed", "simulate-negative-seed"])
+], ids=["instances", "reps", "gradcheck-negative-seed", "gradcheck-seed-beyond-int64", "simulate-negative-seed"])
 def test_count_flag_below_one_exits_2(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     rc = main(args)
