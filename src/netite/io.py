@@ -34,10 +34,10 @@ It raises ValueError, prefixed with the file's name, when
                 are not 0..n-1 each exactly once, t is not 0 or 1, or a
                 value of a float column (yf, ycf, mu0, mu1, prob_t) is
                 not finite.
-A line of a dataset file or checkpoint that does not parse (a wrong
-field count, or a field that is not a number of its column's type) is
-named by its line in the file, blank lines and the header counted.
-Blank lines are skipped; nothing else is.
+Every table line that does not parse (a wrong field count, or a field
+not a number of its column's type), the features.mtx header and the
+checkpoint values included, is named by its line in the file, blank
+lines and headers counted. Blank lines are skipped; nothing else is.
 
 Checkpoints are decimal text: a fixed header (format version, seed,
 num_features, gcn_dims, head_dims, value count) followed by the flat
@@ -47,14 +47,15 @@ widths only; each head's regression layer, of width 1, follows them.
 Blank lines among the values are skipped, as in dataset files.
 load_checkpoint builds ModelParams from the header dims and the values,
 so a value count other than the header's, a header that does not match
-its values, a dimension below 1, a negative seed or a non-finite value
-raises CheckpointError. All floats everywhere are written with repr() so
-a load(save(x)) round trip is bit exact.
+its values, a dimension below 1, a seed outside 0..2**63-1 or a
+non-finite value raises CheckpointError. All floats everywhere are
+written with repr() so a load(save(x)) round trip is bit exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -77,6 +78,8 @@ CHUNK_LINES = 1 << 16  # feature or checkpoint lines per write, feature lines pe
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _EDGE = np.dtype([("i", np.int64), ("j", np.int64)])
+_HEADER = np.dtype([("n", np.int64), ("m", np.int64), ("nnz", np.int64)])
+_VALUE = np.dtype([("v", np.float64)])
 
 
 class CheckpointError(ValueError):
@@ -142,37 +145,46 @@ def _blame(path: Path):
         raise ValueError(f"{path.name}: {exc}") from None
 
 
-def _load_table(source, dtype, skiprows: int = 0) -> np.ndarray:
-    """A whitespace-separated table in one np.loadtxt call, from a path
-    (the whole file) or an iterable of lines (one chunk of a file); no
-    rows give an empty array without loadtxt's no-data warning."""
+def _load_table(path: Path, dtype, start: int = 1, lines=None) -> np.ndarray:
+    """Rows of `dtype` from the file at `path`, line `start` on, in one
+    np.loadtxt call: the rest of the file, or `lines`, an iterable of its
+    next lines (at most CHUNK_LINES). No rows give an empty array without
+    loadtxt's no-data warning. A parse error raises ValueError "line L:
+    reason", L the range's first line that fails on its own, found by
+    bisection: each field is one column, so each line parses or fails
+    alone. numpy's row number, which skips blank lines, is dropped."""
+    parse = functools.partial(np.loadtxt, dtype=dtype, comments=None, ndmin=1)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, dtype=dtype, comments=None, skiprows=skiprows, ndmin=1)
-
-
-def _bad_line(path: Path, exc: ValueError, dtype, start: int = 1, count: int | None = None) -> ValueError:
-    """The parse error `exc` of the file's lines from line `start` on
-    (`count` of them, or to the end) as "line L: reason", L the first of
-    those lines that np.loadtxt rejects on its own. numpy's row number,
-    which skips blank lines, is dropped from the reason. A parse error
-    that no single line causes comes back as it was."""
-    stop = None if count is None else start - 1 + count
-    with open(path) as f:
-        for number, line in enumerate(itertools.islice(f, start - 1, stop), start):
+        try:
+            return parse(path, skiprows=start - 1) if lines is None else parse(lines)
+        except ValueError as exc:
+            error = exc
+        with open(path) as f:
+            lines = list(itertools.islice(f, start - 1, None if lines is None else start - 1 + CHUNK_LINES))
+        lo, hi = 0, len(lines)  # the first bad line is one of lines[lo:hi]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
             try:
-                _load_table([line], dtype)
-            except ValueError as bad:
-                reason = re.sub(r" at row \d+, column", " in column", str(bad))
-                reason = re.sub(r" at row \d+; use `usecols`.*", "", reason)
-                return ValueError(f"line {number}: {reason}")
-    return exc
+                parse(lines[lo:mid])
+            except ValueError as exc:
+                if mid - lo == 1:
+                    reason = re.sub(r" at row \d+, column", " in column", str(exc))
+                    reason = re.sub(r" at row \d+; use `usecols`.*", "", reason)
+                    raise ValueError(f"line {start + lo}: {reason}") from None
+                hi = mid
+            else:
+                lo = mid
+    raise error
 
 
 def _read_features(path: Path) -> np.ndarray:
     """x from features.mtx, parsed and checked CHUNK_LINES lines at a time."""
     with open(path) as f:
-        n, m, nnz = (int(v) for v in f.readline().split())
+        header = _load_table(path, _HEADER, lines=[f.readline()])
+        if header.size == 0:
+            raise ValueError("line 1: the header is blank")
+        n, m, nnz = header[0].tolist()
         if min(n, m, nnz) < 0:
             raise ValueError(f"negative size in header {n} {m} {nnz}")
         try:
@@ -184,10 +196,7 @@ def _read_features(path: Path) -> np.ndarray:
             first = f.readline()
             if not first:
                 break
-            try:
-                trip = _load_table(itertools.chain([first], itertools.islice(f, CHUNK_LINES - 1)), _TRIPLET)
-            except ValueError as exc:
-                raise _bad_line(path, exc, _TRIPLET, start, CHUNK_LINES) from None
+            trip = _load_table(path, _TRIPLET, start, itertools.chain([first], itertools.islice(f, CHUNK_LINES - 1)))
             count += trip.size
             if count > nnz:
                 raise ValueError(f"more triplets than the header's nnz={nnz}")
@@ -229,10 +238,7 @@ def read_dataset(dirpath) -> NetworkedDataset:
 
     path = dirpath / "edges.tsv"
     with _blame(path):
-        try:
-            edges = _load_table(path, _EDGE)
-        except ValueError as exc:
-            raise _bad_line(path, exc, _EDGE) from None
+        edges = _load_table(path, _EDGE)
         net = Network.from_pairs(n, edges.view(np.int64))
         if net.num_edges != edges.size or np.any(edges["i"] > edges["j"]):
             raise ValueError("an edge is listed twice or as i > j")
@@ -244,10 +250,7 @@ def read_dataset(dirpath) -> NetworkedDataset:
         if header != NODE_COLUMNS_FULL and header != NODE_COLUMNS_OBS:
             raise ValueError(f"unexpected header: {header}")
         dtype = np.dtype([(c, np.int64) for c in header[:2]] + [(c, np.float64) for c in header[2:]])
-        try:
-            rows = _load_table(path, dtype, skiprows=1)
-        except ValueError as exc:
-            raise _bad_line(path, exc, dtype, start=2) from None
+        rows = _load_table(path, dtype, start=2)
         if rows.size != n:
             raise ValueError(f"{rows.size} rows for {n} nodes")
         ids = rows["id"]
@@ -280,10 +283,10 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 
 def load_checkpoint(path):
     """Returns (params, seed). Raises CheckpointError on a corrupt file:
-    a malformed or unsupported header, a negative seed, a dimension below
-    1, an empty dims list, a value count that does not match the dims, an
-    unparsable or non-finite value, or more or fewer values than the
-    header declares."""
+    a malformed or unsupported header, a seed outside 0..2**63-1, a
+    dimension below 1, an empty dims list, a value count that does not
+    match the dims, an unparsable or non-finite value, or more or fewer
+    values than the header declares."""
     try:
         with open(path) as f:
             header = {}
@@ -293,17 +296,14 @@ def load_checkpoint(path):
             if int(header["format"]) != FORMAT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint format {header['format']}")
         count = int(header["values"])
-        try:
-            theta = _load_table(path, np.float64, skiprows=6)
-        except ValueError as exc:
-            raise _bad_line(path, exc, np.float64, start=7) from None
+        theta = _load_table(path, _VALUE, start=7).view(np.float64)
         if theta.shape != (count,):
             raise CheckpointError(f"checkpoint {path} holds {theta.size} values, its header declares {count}")
         if not np.all(np.isfinite(theta)):
             raise CheckpointError(f"checkpoint {path} holds a non-finite value")
         seed = int(header["seed"])
-        if seed < 0:
-            raise CheckpointError(f"checkpoint {path} has a negative seed {seed}")
+        if not 0 <= seed < 2**63:
+            raise CheckpointError(f"checkpoint {path} has a negative seed or one of 2**63 or more: {seed}")
         params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
                              [int(d) for d in header["head_dims"].split(",")], theta)
         return params, seed

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from netite import io as nio
 from netite.graph import Network
 from netite.linalg import make_rng
-from netite.model import init_params
+from netite.model import ModelParams, init_params
 from netite.runner import TrainConfig
 from netite.simgen import NetworkedDataset, SimConfig, simulate
 
@@ -200,6 +200,9 @@ MALFORMED = {
     "unparsable edge index on line 3": ("edges.tsv", _set_field(2, 0, "x")),
     "three-field edge line": ("edges.tsv", lambda lines: lines.__setitem__(slice(None), [l + "\t7" for l in lines])),
     "unparsable yf": ("nodes.tsv", _set_field(3, 2, "x")),
+    "two-field header": ("features.mtx", lambda lines: lines.__setitem__(0, lines[0].rsplit(" ", 1)[0])),
+    "non-integer header": ("features.mtx", _set_field(0, 1, "30.5")),
+    "blank header": ("features.mtx", lambda lines: lines.__setitem__(0, "")),
 }
 
 # The file line, header and blank lines counted, that each of these
@@ -213,6 +216,9 @@ BAD_LINE = {
     "three-field edge line": 1,
     "t is not an integer": 2,
     "unparsable yf": 4,
+    "two-field header": 1,
+    "non-integer header": 1,
+    "blank header": 1,
 }
 
 
@@ -459,17 +465,40 @@ def test_checkpoint_blank_lines_among_values_load(tmp_path):
 
 def test_checkpoint_negative_seed_raises(tmp_path):
     path = tmp_path / "model.ckpt"
-    nio.save_checkpoint(path, sample_params(), seed=0)
-    _edit_lines(path, lambda lines: lines.__setitem__(1, "seed -1"))
-    with pytest.raises(nio.CheckpointError, match="negative seed"):
-        nio.load_checkpoint(path)
+    for seed in [-1, 99999999999999999999999]:
+        nio.save_checkpoint(path, sample_params(), seed=0)
+        _edit_lines(path, lambda lines: lines.__setitem__(1, f"seed {seed}"))
+        with pytest.raises(nio.CheckpointError, match=rf"negative seed or one of 2\*\*63 or more: {seed}$"):
+            nio.load_checkpoint(path)
 
 
 def test_checkpoint_bad_value_names_the_file_line(tmp_path):
     path = tmp_path / "model.ckpt"
-    nio.save_checkpoint(path, sample_params(), seed=0)
-    # two blank lines (file lines 9 and 10) before the bad value on file line 13
-    _edit_lines(path, lambda lines: (lines.insert(8, ""), lines.insert(8, ""), lines.__setitem__(12, "x")))
-    with pytest.raises(nio.CheckpointError, match=r": line 13: ") as info:
+    for bad in [lambda line: "x", lambda line: line + " 1.0"]:
+        nio.save_checkpoint(path, sample_params(), seed=0)
+        # two blank lines (file lines 9 and 10) before the bad value on file line 13
+        _edit_lines(path, lambda lines: (lines.insert(8, ""), lines.insert(8, ""),
+                                         lines.__setitem__(12, bad(lines[12]))))
+        with pytest.raises(nio.CheckpointError, match=r": line 13: ") as info:
+            nio.load_checkpoint(path)
+        message = str(info.value)
+        assert "at row" not in message and "usecols" not in message and "\n" not in message
+
+
+def test_bad_line_found_in_logarithmic_parses(tmp_path, monkeypatch):
+    params = ModelParams(2000, [100], [8])  # 201,734 values
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, params, seed=0)
+    _edit_lines(path, lambda lines: lines.__setitem__(-1, "x"))
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    with pytest.raises(nio.CheckpointError, match=rf": line {6 + params.theta.size}: "):
         nio.load_checkpoint(path)
-    assert "at row" not in str(info.value) and "\n" not in str(info.value)
+    # one parse of the file, then about log2(201,734) = 18 of halving ranges
+    assert len(calls) <= 40
