@@ -69,7 +69,9 @@ K, a work buffer (the plan, then K^T, then Y^T V), one more (P∘B, then
 U^T X and the K-shaped term) and the gradient, which is divided by C in
 place; it peaks near 5.3. Its iterate histories X and Y (T (n1 + n0)
 floats) are scaled in place from v/b and u/a. The median's partial sort
-and the sums <P, C> and <dC, C> each make one temporary besides.
+and the sums <P, C> and <dC, C> each make one temporary besides. From
+linalg.SPLIT_MIN multiply-adds up (n1 n0 dims), `linalg.split_rows`
+fills C's two row halves at once, bit for bit as one cdist call.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -86,7 +88,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import NumericError, check_fields
+from .linalg import NumericError, check_fields, split_rows
 
 
 class DegenerateGroupsError(ValueError):
@@ -354,7 +356,7 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
     computed on the first read of either gradient field, from copies of
     the rows taken now."""
     treated, control = _groups(treated, control)
-    c = cdist(treated, control)
+    c = split_rows(cdist, treated, control, control.shape[0])
     if not np.all(np.isfinite(c)):
         raise NumericError("non-finite pairwise cost")
     scale, med_idx, med_wts = _median_with_support(c)

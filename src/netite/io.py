@@ -36,7 +36,7 @@ It raises ValueError, prefixed with the file's name, when
                 not finite.
 Every table line that does not parse (a wrong field count, or a field
 not a number of its column's type), the features.mtx header and the
-checkpoint values included, is named by its line in the file, blank
+checkpoint's lines included, is named by its line in the file, blank
 lines and headers counted. Blank lines are skipped; nothing else is.
 
 Checkpoints are decimal text: a fixed header (format version, seed,
@@ -48,8 +48,11 @@ Blank lines among the values are skipped, as in dataset files.
 load_checkpoint builds ModelParams from the header dims and the values,
 so a value count other than the header's, a header that does not match
 its values, a dimension below 1, a seed outside 0..2**63-1 or a
-non-finite value raises CheckpointError. All floats everywhere are
-written with repr() so a load(save(x)) round trip is bit exact.
+non-finite value raises CheckpointError. Each of the six header lines
+must hold its key and integer value(s); one that is blank, out of order
+or holds another value is named by its line, as is a bad format or
+seed. All floats are written with repr(), so a load(save(x)) round trip
+is bit exact.
 """
 
 from __future__ import annotations
@@ -282,33 +285,30 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, seed). Raises CheckpointError on a corrupt file:
-    a malformed or unsupported header, a seed outside 0..2**63-1, a
-    dimension below 1, an empty dims list, a value count that does not
-    match the dims, an unparsable or non-finite value, or more or fewer
-    values than the header declares."""
+    """Returns (params, seed). Raises CheckpointError on a corrupt file,
+    as the module docstring lists, its message naming the file."""
     try:
         with open(path) as f:
-            header = {}
-            for _ in range(6):
-                key, val = f.readline().split(maxsplit=1)
-                header[key] = val.strip()
-            if int(header["format"]) != FORMAT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint format {header['format']}")
-        count = int(header["values"])
+            head = list(itertools.islice(f, 6))
+        header = {}
+        for line, key in enumerate(["format", "seed", "num_features", "gcn_dims", "head_dims", "values"], 1):
+            rows = _load_table(path, np.dtype("O,O"), line, head[line - 1:line]).tolist()
+            got, val = rows[0] if rows else ("", "")
+            if got != key or not re.fullmatch(r"-?[0-9]+" + r"(,-?[0-9]+)*" * key.endswith("dims"), val):
+                got = f"{got} {val}".strip()
+                raise ValueError(f"line {line}: expected `{key}` and its integer value(s), got {got!r}")
+            header[key] = [int(d) for d in val.split(",")]
+        (version,), (seed,), (count,) = header["format"], header["seed"], header["values"]
+        if version != FORMAT_VERSION:
+            raise ValueError(f"line 1: unsupported checkpoint format {version}")
+        if not 0 <= seed < 2**63:
+            raise ValueError(f"line 2: a negative seed or one of 2**63 or more: {seed}")
         theta = _load_table(path, _VALUE, start=7).view(np.float64)
         if theta.shape != (count,):
-            raise CheckpointError(f"checkpoint {path} holds {theta.size} values, its header declares {count}")
+            raise ValueError(f"{theta.size} values, but the header declares {count}")
         if not np.all(np.isfinite(theta)):
-            raise CheckpointError(f"checkpoint {path} holds a non-finite value")
-        seed = int(header["seed"])
-        if not 0 <= seed < 2**63:
-            raise CheckpointError(f"checkpoint {path} has a negative seed or one of 2**63 or more: {seed}")
-        params = ModelParams(int(header["num_features"]), [int(d) for d in header["gcn_dims"].split(",")],
-                             [int(d) for d in header["head_dims"].split(",")], theta)
-        return params, seed
-    except CheckpointError:
-        raise
-    except (ValueError, KeyError, IndexError) as exc:
+            raise ValueError("a non-finite value")
+        return ModelParams(*header["num_features"], header["gcn_dims"], header["head_dims"], theta), seed
+    except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
 

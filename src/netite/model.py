@@ -7,7 +7,11 @@ per treatment arm) apply L fully connected ReLU layers, then a linear
 regression layer of width 1; each runs only on its treatment arm's rows.
 All gradients are exact, reverse-mode and hand written, and end at the
 first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
-from the balancing penalty.
+from the balancing penalty. Each layer's dense products, H W in `encode`
+and the weight gradient H^T G in `backward`, go through
+`linalg.split_rows`: from SPLIT_MIN multiply-adds up they run as two
+row halves at once, bit for bit as the whole product. The sparse A_hat
+products run whole.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, relu, relu_backward
+from .linalg import ShapeError, relu, relu_backward, split_rows
 
 
 def _layer_shapes(d_in: int, dims: list) -> list:
@@ -113,7 +117,7 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
-        z = ahat @ (h @ w) + b
+        z = ahat @ split_rows(np.matmul, h, w, w.shape[1]) + b
         h = relu(z)
         enc_pre.append(z)
         enc_act.append(h)
@@ -201,7 +205,7 @@ def backward(
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
         gm = trace.ahat @ gz  # A_hat is symmetric: A_hat^T gz == A_hat gz
-        grads.gcn_weights[l][...] = trace.enc_act[l].T @ gm
+        grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm, gm.shape[1])
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX
             gh = gm @ params.gcn_weights[l].T

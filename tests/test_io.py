@@ -485,6 +485,26 @@ def test_checkpoint_bad_value_names_the_file_line(tmp_path):
         assert "at row" not in message and "usecols" not in message and "\n" not in message
 
 
+# each of the six header lines blanked, or given a bad value, in turn
+@pytest.mark.parametrize("line, text", [
+    (1, ""), (1, "format x"), (1, "format 999"), (1, "seed 0"),
+    (2, ""), (2, "seed 1.5"), (2, "seed -1"), (2, "seed"),
+    (3, ""), (3, "num_features 11,11"), (3, "num_features 11 11"),
+    (4, ""), (4, "gcn_dims 6,,6"), (4, "gcn_dims 6,6,"),
+    (5, ""), (5, "head_dims x"), (5, "gcn_dims 4,4"),
+    (6, ""), (6, "values 1e3"), (6, "values"),
+])
+def test_checkpoint_bad_header_line_is_named(tmp_path, line, text):
+    path = tmp_path / "model.ckpt"
+    nio.save_checkpoint(path, sample_params(), seed=0)
+    _edit_lines(path, lambda lines: lines.__setitem__(line - 1, text))
+    named = rf"^corrupt checkpoint {re.escape(str(path))}: line {line}: "
+    with pytest.raises(nio.CheckpointError, match=named) as info:
+        nio.load_checkpoint(path)
+    message = str(info.value)
+    assert "at row" not in message and "usecols" not in message and "\n" not in message
+
+
 def test_bad_line_found_in_logarithmic_parses(tmp_path, monkeypatch):
     params = ModelParams(2000, [100], [8])  # 201,734 values
     path = tmp_path / "model.ckpt"

@@ -1,11 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import netite
 from netite import io as nio
-from netite import runner
+from netite import linalg, runner
+from netite.balance import SinkhornConfig
 from netite.gradcheck import random_tiny_instance
 from netite.graph import Network, normalize_adjacency
 from netite.linalg import make_rng
@@ -324,6 +331,44 @@ def test_objective_matches_all_rows_heads(monkeypatch, instance):
     ref_loss, ref_grads = objective(params, ds, train_idx, cfg, ahat=ahat)[:2]
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert np.all(np.abs(grads.theta - ref_grads.theta) <= 1e-12 * np.abs(ref_grads.theta))
+
+
+def paper_default_instance():
+    ds = simulate(SimConfig(seed=0))
+    cfg = TrainConfig(seed=0, sinkhorn=SinkhornConfig(max_iters=120))
+    params = init_params(cfg, ds.x.shape[1], make_rng(0, stream=11))
+    return params, ds, make_split(ds.n, ds.t, 0).train, cfg, normalize_adjacency(ds.net)
+
+
+INSTANCES = {"paper-default": paper_default_instance, "criterion-7": criterion_7_instance}
+
+
+def assert_split_off_same_bytes(name, splits):
+    """One objective evaluation gives the same bytes with every product
+    whole as with the `splits` products at or above SPLIT_MIN in halves:
+    each encoder layer's H W and weight gradient, and W1's cost matrix."""
+    params, ds, train_idx, cfg, ahat = INSTANCES[name]()
+    calls = []
+    worker = linalg._worker
+    linalg._worker = lambda: calls.append(1) or worker()
+    loss, grads, parts = objective(params, ds, train_idx, cfg, ahat=ahat)[:3]
+    assert len(calls) == splits
+    linalg.SPLIT_MIN = math.inf
+    ref_loss, ref_grads, ref_parts = objective(params, ds, train_idx, cfg, ahat=ahat)[:3]
+    assert len(calls) == splits
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes() and parts == ref_parts
+    assert grads.theta.tobytes() == ref_grads.theta.tobytes()
+
+
+# In a process of its own, on one BLAS thread: with more, OpenBLAS splits
+# the whole product its own way, and its bits vary with the thread count.
+@pytest.mark.parametrize("name, splits", [("paper-default", 5), ("criterion-7", 4)])
+def test_objective_same_bytes_with_the_split_off(name, splits):
+    code = f"import test_model; test_model.assert_split_off_same_bytes({name!r}, {splits})"
+    paths = [str(Path(netite.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)})
+    assert out.returncode == 0, out.stderr
 
 
 def test_forward_deterministic():
