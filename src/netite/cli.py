@@ -181,14 +181,14 @@ def expand_grid_file(axes: dict, seed: int) -> list:
 
 def cmd_grid(args) -> int:
     ds = _read_dataset(args.data)
-    cells = expand_grid_file(_load_json_object(args.grid, "grid"), seed=args.seed)
+    grid = expand_grid_file(_load_json_object(args.grid, "grid"), seed=args.seed)
     split = make_split(ds.n, ds.t, args.seed)
-    best_cfg, _, best_report, records = grid_search(ds, split, cells)
+    best_cfg, _, best_report, cells = grid_search(ds, split, grid)
     _warn_unconverged(best_cfg, best_report)
 
     grid_table = _tsv([*GRID_KEY_MAP, "val_mse", "status"],
-                      ([*_axis_values(rec.cfg), "-" if rec.val_mse is None else _fmt(rec.val_mse),
-                        "ok" if rec.error is None else f"failed: {rec.error}"] for rec in records))
+                      ([*_axis_values(cell.cfg), "-" if cell.val_mse is None else _fmt(cell.val_mse),
+                        "ok" if cell.error is None else f"failed: {cell.error}"] for cell in cells))
     print(grid_table, end="")
     print("\t".join(["winner", *map("=".join, zip(GRID_KEY_MAP, _axis_values(best_cfg)))]))
     print(format_results(Path(args.data).name, args.seed, best_report.splits), end="")

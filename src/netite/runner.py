@@ -84,16 +84,25 @@ class SplitMetrics:
     factual_mse: float
 
 
+def _trajectory(key: str) -> property:
+    return property(lambda self: [r[key] for r in self.records], doc=f"each epoch's {key!r}")
+
+
 @dataclass
 class MetricsReport:
-    splits: dict  # name -> SplitMetrics
-    loss_traj: list = field(default_factory=list)
-    mse_traj: list = field(default_factory=list)
-    ipm_traj: list = field(default_factory=list)
-    l2_traj: list = field(default_factory=list)
-    val_mse_traj: list = field(default_factory=list)
+    """`train`'s report: one record per epoch, a dict of its loss, the mse,
+    ipm and l2 parts, val_mse, and sinkhorn_converged (the W1Result's flag,
+    or None when W1 did not run); the trajectories are read-only views."""
+    splits: dict  # name -> SplitMetrics at best_epoch (0 when there are no epochs)
+    records: list = field(default_factory=list)
     best_epoch: int = 0
-    sinkhorn_unconverged: int = 0  # epochs whose W1 run stopped at max_iters unconverged
+    loss_traj = _trajectory("loss")
+    mse_traj = _trajectory("mse")
+    ipm_traj = _trajectory("ipm")
+    l2_traj = _trajectory("l2")
+    val_mse_traj = _trajectory("val_mse")
+    sinkhorn_unconverged = property(lambda self: sum(r["sinkhorn_converged"] is False for r in self.records),
+                                    doc="epochs whose W1 run stopped at max_iters unconverged")
 
 
 def metrics(tau_hat: np.ndarray, tau: np.ndarray):
@@ -202,28 +211,18 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
     best_theta = params.flatten()
     best_h = None  # the representations best_theta encodes, once an epoch is picked
     best_val = np.inf
-    best_epoch = -1
     for epoch in range(cfg.epochs):
         loss, grads, parts, yhat, w1, h = objective(params, dataset, split.train, cfg, ahat)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"non-finite loss at epoch {epoch}: parts={parts}")
         val_mse = float(np.mean((yhat[split.valid] - dataset.yf[split.valid]) ** 2))
-        report.loss_traj.append(loss)
-        report.mse_traj.append(parts["mse"])
-        report.ipm_traj.append(parts["ipm"])
-        report.l2_traj.append(parts["l2"])
-        report.val_mse_traj.append(val_mse)
-        if w1 is not None and not w1.converged:
-            report.sinkhorn_unconverged += 1
+        report.records.append({"loss": loss, **parts, "val_mse": val_mse,
+                               "sinkhorn_converged": None if w1 is None else w1.converged})
         if val_mse < best_val:
-            best_val = val_mse
-            best_theta = params.flatten()
-            best_h = h
-            best_epoch = epoch
+            best_val, best_theta, best_h, report.best_epoch = val_mse, params.flatten(), h, epoch
         params.theta[:] = adam_step(adam, params.theta, grads.theta)
 
     params.theta[:] = best_theta
-    report.best_epoch = best_epoch if cfg.epochs > 0 else 0
     if best_h is None:  # no epoch was picked: score the initial parameters
         best_h = encode(params, ahat, dataset.x)[0]
     report.splits = _split_metrics(params, dataset, split, best_h)
@@ -249,7 +248,6 @@ def expand_grid(base: TrainConfig, axes: dict) -> list:
 class GridCell:
     cfg: TrainConfig
     val_mse: float | None
-    report: MetricsReport | None
     error: str | None = None
 
 
@@ -267,10 +265,10 @@ def grid_search(dataset: NetworkedDataset, split: Split, grid: list):
             params, report = train(dataset, split, cfg)
         except (ValueError, ArithmeticError) as exc:
             first_error = first_error or exc
-            cells.append(GridCell(cfg, None, None, error=str(exc)))
+            cells.append(GridCell(cfg, None, error=str(exc)))
             continue
-        val = min(report.val_mse_traj) if report.val_mse_traj else report.splits["valid"].factual_mse
-        cells.append(GridCell(cfg, val, report))
+        val = report.records[report.best_epoch]["val_mse"] if report.records else report.splits["valid"].factual_mse
+        cells.append(GridCell(cfg, val))
         if best is None or val < best[0]:
             best = (val, cfg, params, report)
     if best is None:

@@ -304,6 +304,100 @@ def test_train_encodes_once_per_epoch(epochs, monkeypatch):
     assert report.splits == runner.evaluate(params, ds, split, normalize_adjacency(ds.net))
 
 
+def reference_train(dataset, split, cfg):
+    """`train` as it was with five trajectory lists, a -1 best-epoch
+    sentinel and the zero-epoch fix-up, kept to pin the record list."""
+    from types import SimpleNamespace
+
+    from netite import runner
+    from netite.model import encode
+    from netite.optim import AdamState, adam_step
+
+    ahat = normalize_adjacency(dataset.net)
+    params = init_params(cfg, dataset.x.shape[1], make_rng(cfg.seed, stream=11))
+    adam = AdamState(size=params.theta.size, learning_rate=cfg.learning_rate)
+    report = SimpleNamespace(loss_traj=[], mse_traj=[], ipm_traj=[], l2_traj=[], val_mse_traj=[],
+                             sinkhorn_unconverged=0)
+    best_theta = params.flatten()
+    best_h = None
+    best_val = np.inf
+    best_epoch = -1
+    for epoch in range(cfg.epochs):
+        loss, grads, parts, yhat, w1, h = objective(params, dataset, split.train, cfg, ahat)
+        val_mse = float(np.mean((yhat[split.valid] - dataset.yf[split.valid]) ** 2))
+        report.loss_traj.append(loss)
+        report.mse_traj.append(parts["mse"])
+        report.ipm_traj.append(parts["ipm"])
+        report.l2_traj.append(parts["l2"])
+        report.val_mse_traj.append(val_mse)
+        if w1 is not None and not w1.converged:
+            report.sinkhorn_unconverged += 1
+        if val_mse < best_val:
+            best_val = val_mse
+            best_theta = params.flatten()
+            best_h = h
+            best_epoch = epoch
+        params.theta[:] = adam_step(adam, params.theta, grads.theta)
+
+    params.theta[:] = best_theta
+    report.best_epoch = best_epoch if cfg.epochs > 0 else 0
+    if best_h is None:
+        best_h = encode(params, ahat, dataset.x)[0]
+    report.splits = runner._split_metrics(params, dataset, split, best_h)
+    return params, report
+
+
+def report_bits(params, report):
+    """Everything `train` returns, with every float as float.hex."""
+    def hexes(values):
+        return [float.hex(float(v)) for v in values]
+
+    return (params.flatten().tobytes(),
+            {k: hexes(getattr(report, k)) for k in ("loss_traj", "mse_traj", "ipm_traj", "l2_traj",
+                                                     "val_mse_traj")},
+            report.best_epoch, report.sinkhorn_unconverged,
+            {name: hexes(vars(m).values()) for name, m in report.splits.items()})
+
+
+@pytest.mark.parametrize("cfg, unconverged", [
+    (tiny_cfg(epochs=8, sinkhorn=SinkhornConfig()), 0),
+    (tiny_cfg(epochs=8, sinkhorn=SinkhornConfig(max_iters=1)), 8),
+    (tiny_cfg(epochs=8, alpha=0.0, track_ipm=False), 0),
+    (tiny_cfg(epochs=0), 0),
+], ids=["sinkhorn-converging", "sinkhorn-capped", "w1-off", "zero-epochs"])
+def test_train_matches_reference_loop(cfg, unconverged):
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    got = report_bits(*train(ds, split, cfg))
+    assert got == report_bits(*reference_train(ds, split, cfg))
+    assert got[3] == unconverged
+
+
+@pytest.mark.parametrize("alpha, track_ipm", [(1e-3, True), (0.0, True), (0.0, False)])
+def test_train_records_shape(alpha, track_ipm, monkeypatch):
+    from netite import runner
+
+    w1_calls, real = [], runner.wasserstein1
+
+    def counted(*args):
+        w1_calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(runner, "wasserstein1", counted)
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    _, report = train(ds, split, tiny_cfg(epochs=5, alpha=alpha, track_ipm=track_ipm))
+    assert len(report.records) == 5
+    for record in report.records:
+        assert list(record) == ["loss", "mse", "ipm", "l2", "val_mse", "sinkhorn_converged"]
+        flag = record["sinkhorn_converged"]
+        assert flag is None if not track_ipm else isinstance(flag, bool)
+    assert sum(r["sinkhorn_converged"] is not None for r in report.records) == len(w1_calls)
+    for view in ("loss_traj", "mse_traj", "ipm_traj", "l2_traj", "val_mse_traj", "sinkhorn_unconverged"):
+        with pytest.raises(AttributeError):
+            setattr(report, view, [])
+
+
 @pytest.mark.parametrize("lr", [0.0, -1e-2, np.nan, np.inf, "fast", None])
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(ValueError):
@@ -406,3 +500,15 @@ def test_grid_deterministic_winner():
     w1 = grid_search(ds, split, grid)[0]
     w2 = grid_search(ds, split, grid)[0]
     assert w1 == w2
+
+
+def test_grid_zero_epoch_cell_scores_initial_model():
+    ds = tiny_dataset()
+    split = make_split(ds.n, ds.t, 0)
+    grid = [tiny_cfg(epochs=0), tiny_cfg(epochs=3, learning_rate=0.5)]
+    _, _, _, cells = grid_search(ds, split, grid)
+    assert [c.error for c in cells] == [None, None]
+    assert cells[0].val_mse == train(ds, split, grid[0])[1].splits["valid"].factual_mse
+    _, report = train(ds, split, grid[1])
+    assert report.best_epoch < 2  # the score is the best epoch's, not the last one's
+    assert cells[1].val_mse == min(report.val_mse_traj)
