@@ -69,9 +69,15 @@ K, a work buffer (the plan, then K^T, then Y^T V), one more (P∘B, then
 U^T X and the K-shaped term) and the gradient, which is divided by C in
 place; it peaks near 5.3. Its iterate histories X and Y (T (n1 + n0)
 floats) are scaled in place from v/b and u/a. The median's partial sort
-and the sums <P, C> and <dC, C> each make one temporary besides. From
-linalg.SPLIT_MIN multiply-adds up (n1 n0 dims), `linalg.split_rows`
-fills C's two row halves at once, bit for bit as one cdist call.
+and the sums <P, C> and <dC, C> each make one temporary besides.
+
+`linalg.split_rows` runs W1's large products as two row halves at once,
+bit for bit as the whole product: C, the backward's U^T X and Y^T V
+(into their buffers), the point-gradient products W Y and W^T X, and
+Sinkhorn's products by a vector, K v, K^T u, K x and K^T y (the last
+two into vectors kept for the run). Whole or split is chosen once per
+segment (`linalg.matvec`), so the loop on few-point groups makes no
+extra call per product.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -88,7 +94,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import NumericError, check_fields, split_rows
+from .linalg import NumericError, check_fields, matvec, split_rows
 
 
 class DegenerateGroupsError(ValueError):
@@ -228,11 +234,12 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     while True:
         _kernel(k, f, g)
         np.copyto(kt, k.T)
+        kdot, ktdot = matvec(k), matvec(kt)
         # ndarray.dot, ufunc.reduce, 0-d operands and a positional out skip call
         # overheads that dominate on the few-point groups of the acceptance checks.
         a0, b0 = np.array(a), np.array(b)
         us, vs = [], [v[None]]  # the segment's blocks of iterates
-        kv = k.dot(v)
+        kv = kdot(v)
         done, stop = 0, False
         # the iterates past an overflow are discarded below, and must not warn
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -242,9 +249,9 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
                 v_before = v_blk[m - 2] if m > 1 else v
                 for u, v, kv_next in zip(u_blk, v_blk, kv_blk):
                     np.divide(a0, kv, u)
-                    kt.dot(u, out=v)
+                    ktdot(u, out=v)
                     np.divide(b0, v, v)
-                    kv = k.dot(v, out=kv_next)
+                    kv = kdot(v, out=kv_next)
                 done += m
                 if cfg.convergence_tol > 0:
                     # u_t * (K v_t) is the row marginal of the plan
@@ -307,6 +314,7 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     np.subtract(1.0, g_b, out=g_b)
     g_b *= p
     kt = work.reshape(n0, n1)
+    g_phi = np.empty(n1)
 
     # In the potentials phi = log(u/a), psi = log(v/b), step t of the
     # backward adds diag(u_t) K diag(x_t) and diag(y_t) K diag(v_{t-1})
@@ -322,18 +330,21 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
             _kernel(np.divide(c, eps, out=k), f, g)
         u_hist, v_hist = np.ascontiguousarray(u_hist), np.ascontiguousarray(v_hist)
         np.copyto(kt, k.T)
+        kdot, ktdot = matvec(k), matvec(kt)
         x_hist, y_hist = v_hist[1:] / b, u_hist / a
         for u_t, v_prev, x, y in zip(u_hist[::-1], v_hist[-2::-1], x_hist[::-1], y_hist[::-1]):
             x *= g_psi
-            g_phi = u_t * k.dot(x)
+            kdot(x, out=g_phi)
+            g_phi *= u_t
             if g_phi_plan is not None:
                 g_phi -= g_phi_plan
                 g_phi_plan = None
             y *= g_phi
-            g_psi = v_prev * kt.dot(y)
+            ktdot(y, out=g_psi)  # x has read the g_psi this overwrites
+            g_psi *= v_prev
         # g_b += K * (U^T X + Y^T V), with Y negated
-        np.matmul(u_hist.T, x_hist, out=acc)
-        acc -= np.matmul(y_hist.T, v_hist[:-1], out=p)  # work, done as the plan and as K^T
+        split_rows(np.matmul, u_hist.T, x_hist, n0, out=acc)
+        acc -= split_rows(np.matmul, y_hist.T, v_hist[:-1], n0, out=p)  # work, done as the plan and as K^T
         acc *= k
         g_b += acc
     if not np.all(np.isfinite(g_b)):
@@ -389,8 +400,8 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
         apart = c > 0.0
         w = np.divide(g_c, c, out=g_c, where=apart)
         w[~apart] = 0.0
-        grad_treated = treated * w.sum(axis=1)[:, None] - w @ control
-        grad_control = control * w.sum(axis=0)[:, None] - w.T @ treated
+        grad_treated = treated * w.sum(axis=1)[:, None] - split_rows(np.matmul, w, control, control.shape[1])
+        grad_control = control * w.sum(axis=0)[:, None] - split_rows(np.matmul, w.T, treated, treated.shape[1])
         return grad_treated, grad_control
 
     return W1Result(dist, grads, converged, iters)

@@ -7,11 +7,12 @@ per treatment arm) apply L fully connected ReLU layers, then a linear
 regression layer of width 1; each runs only on its treatment arm's rows.
 All gradients are exact, reverse-mode and hand written, and end at the
 first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
-from the balancing penalty. Each layer's dense products, H W in `encode`
-and the weight gradient H^T G in `backward`, go through
-`linalg.split_rows`: from SPLIT_MIN multiply-adds up they run as two
-row halves at once, bit for bit as the whole product. The sparse A_hat
-products run whole.
+from the balancing penalty. Every dense product goes through
+`linalg.split_rows`: each encoder layer's H W, weight gradient H^T G and
+dL/dH G W^T, and each head layer's A W, weight gradient A^T G and dL/dA
+G W^T. From SPLIT_MIN multiply-adds up they run as two row halves at
+once, bit for bit as the whole product; the regression layer's
+one-column products run whole, as do the sparse A_hat products.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, t: int):
     a = h
     pre, act = [], [a]
     for w, b in zip(params.head_weights[t][:-1], params.head_biases[t][:-1]):
-        s = a @ w + b
+        s = split_rows(np.matmul, a, w, w.shape[1]) + b
         a = relu(s)
         pre.append(s)
         act.append(a)
@@ -197,9 +198,10 @@ def backward(
         for l in range(len(params.head_weights[t]) - 1, -1, -1):
             if l < len(pre):
                 gs = relu_backward(pre[l], gs)
-            grads.head_weights[t][l][...] = act[l].T @ gs
+            w = params.head_weights[t][l]
+            grads.head_weights[t][l][...] = split_rows(np.matmul, act[l].T, gs, w.shape[1])
             grads.head_biases[t][l][...] = gs.sum(axis=0)
-            gs = gs @ params.head_weights[t][l].T
+            gs = split_rows(np.matmul, gs, w.T, w.shape[0])
         gh[rows] += gs
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
@@ -208,5 +210,5 @@ def backward(
         grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm, gm.shape[1])
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX
-            gh = gm @ params.gcn_weights[l].T
+            gh = split_rows(np.matmul, gm, params.gcn_weights[l].T, params.gcn_weights[l].shape[0])
     return grads

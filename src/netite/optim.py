@@ -28,15 +28,29 @@ class AdamState:
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One update with bias correction; mutates `state`, returns new theta."""
+    """One update with bias correction; updates `state` (its m and v in
+    place), returns new theta. Two scratch vectors hold every temporary,
+    each operation in the order of the plain expressions
+    m = BETA1 m + (1 - BETA1) g, v = BETA2 v + ((1 - BETA2) g) g and
+    theta - lr m_hat / (sqrt(v_hat) + EPS)."""
     if theta.shape != (state.size,) or grad.shape != (state.size,):
         raise ShapeError(f"adam_step expects vectors of size {state.size}")
     if not np.all(np.isfinite(grad)):
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericError(f"non-finite gradient at coordinate {bad}")
     state.step += 1
-    state.m = BETA1 * state.m + (1 - BETA1) * grad
-    state.v = BETA2 * state.v + (1 - BETA2) * grad * grad
-    m_hat = state.m / (1 - BETA1 ** state.step)
-    v_hat = state.v / (1 - BETA2 ** state.step)
-    return theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    m, v = state.m, state.v
+    step = np.multiply(1 - BETA1, grad)
+    m *= BETA1
+    m += step
+    np.multiply(1 - BETA2, grad, out=step)
+    step *= grad
+    v *= BETA2
+    v += step
+    denom = np.divide(v, 1 - BETA2 ** state.step)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    np.divide(m, 1 - BETA1 ** state.step, out=step)  # m_hat
+    step *= state.learning_rate
+    step /= denom
+    return np.subtract(theta, step, out=denom)

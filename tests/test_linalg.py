@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import sys
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from netite import linalg
+from netite import balance, linalg
 from netite.balance import SinkhornConfig, wasserstein1
 from netite.gradcheck import fd_max_rel_err
 from netite.linalg import make_rng, relu, relu_backward, split_rows
+from conftest import count_worker_calls, run_on_one_blas_thread
 
 
 def test_relu_and_backward():
@@ -57,39 +59,78 @@ def _big_operands(rows=300, inner=200, cols=80):
     return rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
 
 
-@pytest.fixture
-def worker_calls(monkeypatch):
-    """A list that gains one entry per split that reaches the worker."""
-    calls = []
-    worker = linalg._worker
-    monkeypatch.setattr(linalg, "_worker", lambda: calls.append(1) or worker())
-    return calls
-
-
-@pytest.mark.parametrize("rows, inner, cols", [(300, 200, 80), (301, 199, 97), (5, 2000, 1000), (4, 7000, 150)])
-def test_split_products_equal_whole_products_bit_for_bit(worker_calls, rows, inner, cols):
+def assert_split_products_equal_whole(rows, inner, cols):
+    """Into a new array and into a given one."""
+    calls = count_worker_calls()
     a, b = _big_operands(rows, inner, cols)
     g = make_rng(12).normal(size=(rows, cols))
     y = make_rng(13).normal(size=(cols + 5, inner))
     cases = [(np.matmul, a, b, cols), (np.matmul, a.T, g, cols), (cdist, a, y, y.shape[0])]
     for f, p, q, width in cases:
         assert p.shape[0] * q.size >= linalg.SPLIT_MIN
-        assert split_rows(f, p, q, width).tobytes() == f(p, q).tobytes()
-    assert len(worker_calls) == len(cases)
+        whole = f(p, q).tobytes()
+        assert split_rows(f, p, q, width).tobytes() == whole
+        out = np.empty((p.shape[0], width))
+        assert split_rows(f, p, q, width, out=out) is out and out.tobytes() == whole
+    assert len(calls) == 2 * len(cases)
+
+
+# (400, 500, 300) and (905, 120, 883) differ from the whole product when
+# split at m // 2, off OpenBLAS's row blocks.
+@pytest.mark.parametrize("rows, inner, cols", [(300, 200, 80), (301, 199, 97), (400, 500, 300), (905, 120, 883)])
+def test_split_products_equal_whole_products_bit_for_bit(rows, inner, cols):
+    run_on_one_blas_thread(f"test_linalg.assert_split_products_equal_whole({rows}, {inner}, {cols})")
+
+
+def assert_split_matrix_vector_products_equal_whole(rows, cols):
+    calls = count_worker_calls()
+    k = make_rng(14).normal(size=(rows, cols))
+    x = make_rng(15).normal(size=cols)
+    assert 16 * k.size >= linalg.SPLIT_MIN
+    dot = linalg.matvec(k)
+    out = np.empty(rows)
+    assert dot(x).tobytes() == k.dot(x).tobytes()
+    assert dot(x, out=out) is out and out.tobytes() == k.dot(x).tobytes()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rows, cols", [(905, 883), (512, 600), (1001, 263), (4099, 65)])
+def test_split_matrix_vector_products_equal_whole_bit_for_bit(rows, cols):
+    """From SPLIT_MIN / 16 cells up, a product by a vector splits at a
+    multiple of 4 rows; other boundaries round some halves otherwise."""
+    run_on_one_blas_thread(f"test_linalg.assert_split_matrix_vector_products_equal_whole({rows}, {cols})")
 
 
 def _no_worker():
     raise AssertionError("a product that runs whole reached the worker")
 
 
-@pytest.mark.parametrize("rows, inner, cols", [(10, 20, 30), (3, 2000, 1000), (3000, 2000, 1)],
-                         ids=["small", "one-row-half", "one-column"])
+@pytest.mark.parametrize("rows, inner, cols", [(10, 20, 30), (3, 2000, 1000), (3000, 2000, 1), (5, 2000, 1000),
+                                               (4, 7000, 150), (47, 2000, 1000)],
+                         ids=["small", "one-row-half", "one-column", "five-rows", "four-rows", "47-rows"])
 def test_products_that_run_whole_never_reach_the_worker(monkeypatch, rows, inner, cols):
-    """Small products, and those where numpy would take its matrix-vector
-    path for a half or for the whole, which rounds otherwise."""
+    """Small products; those whose first half, m // 2 rounded down to a
+    multiple of 24 rows, would be empty; and those where numpy would take
+    its matrix-vector path for the whole, which rounds otherwise."""
     monkeypatch.setattr(linalg, "_worker", _no_worker)
     a, b = _big_operands(rows, inner, cols)
     assert split_rows(np.matmul, a, b, cols).tobytes() == (a @ b).tobytes()
+
+
+def test_small_matrix_vector_products_run_whole():
+    """Below SPLIT_MIN / 16 cells, matvec is the matrix's own dot."""
+    k = np.ones((512, 511))
+    assert 16 * k.size < linalg.SPLIT_MIN
+    assert linalg.matvec(k) == k.dot
+
+
+def test_split_off_at_infinity(monkeypatch):
+    """SPLIT_MIN = math.inf turns every split off."""
+    monkeypatch.setattr(linalg, "_worker", _no_worker)
+    monkeypatch.setattr(linalg, "SPLIT_MIN", math.inf)
+    a, b = _big_operands(905, 883, 120)
+    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
+    assert linalg.matvec(a) == a.dot
 
 
 def test_worker_exception_reraises_in_caller():
@@ -131,17 +172,22 @@ def test_concurrent_callers_share_the_worker():
 
 def test_tiny_verify_loads_start_no_thread(monkeypatch):
     """The criterion-1 and criterion-2 loads submit nothing to the worker
-    and start no thread: their products are far below SPLIT_MIN."""
+    and start no thread: their products are far below SPLIT_MIN. Sinkhorn
+    takes its products by a vector whole for the whole run, so a
+    criterion-2 run calls split_rows for its cost matrix alone."""
     monkeypatch.setattr(linalg, "_worker", _no_worker)
     threads = threading.active_count()
     for seed in range(20):
         fd_max_rel_err(seed)
+    calls = []
+    monkeypatch.setattr(balance, "split_rows", lambda *args, **kw: calls.append(1) or split_rows(*args, **kw))
     rng = make_rng(2024)  # the criterion-2 cases
     cfg = SinkhornConfig(entropic_reg=0.01, max_iters=5000, convergence_tol=1e-12)
     for _ in range(50):
         k, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         wasserstein1(rng.normal(size=(k, d)), rng.normal(size=(k, d)), cfg).dist
     assert threading.active_count() == threads
+    assert len(calls) == 50
 
 
 def test_split_in_a_forked_child():

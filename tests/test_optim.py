@@ -76,3 +76,28 @@ def test_hyperparameters_are_module_constants():
     v = (1 - BETA2) * (BETA2 * 4.0 + 1.0)
     m_hat, v_hat = m / (1 - BETA1 ** 2), v / (1 - BETA2 ** 2)
     assert abs(theta[0] - (-0.1 * 2.0 / (2.0 + EPS) - 0.1 * m_hat / (np.sqrt(v_hat) + EPS))) < 1e-15
+
+
+def reference_adam_step(state, theta, grad):
+    """adam_step as it was before it worked in place: one new array per
+    operation, kept here as the reference for its bits."""
+    state.step += 1
+    state.m = BETA1 * state.m + (1 - BETA1) * grad
+    state.v = BETA2 * state.v + (1 - BETA2) * grad * grad
+    m_hat = state.m / (1 - BETA1 ** state.step)
+    v_hat = state.v / (1 - BETA2 ** state.step)
+    return theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def test_in_place_step_same_bytes_as_reference():
+    rng = np.random.default_rng(7)
+    theta = ref_theta = rng.normal(size=1000)
+    state, ref = AdamState(size=1000, learning_rate=0.01), AdamState(size=1000, learning_rate=0.01)
+    m, v = state.m, state.v
+    for _ in range(5):
+        g = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 4, size=1000)
+        theta = adam_step(state, theta, g)
+        ref_theta = reference_adam_step(ref, ref_theta, g)
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert state.m.tobytes() == ref.m.tobytes() and state.v.tobytes() == ref.v.tobytes()
+    assert state.m is m and state.v is v
