@@ -71,13 +71,17 @@ place; it peaks near 5.3. Its iterate histories X and Y (T (n1 + n0)
 floats) are scaled in place from v/b and u/a. The median's partial sort
 and the sums <P, C> and <dC, C> each make one temporary besides.
 
-`linalg.split_rows` runs W1's large products as two row halves at once,
-bit for bit as the whole product: C, the backward's U^T X and Y^T V
-(into their buffers), the point-gradient products W Y and W^T X, and
-Sinkhorn's products by a vector, K v, K^T u, K x and K^T y (the last
-two into vectors kept for the run). Whole or split is chosen once per
-segment (`linalg.matvec`), so the loop on few-point groups makes no
-extra call per product.
+Above `linalg`'s thresholds, W1's large passes run as two row halves at
+once, bit for bit as the whole pass. `linalg.split_rows` runs the
+products: C, the backward's U^T X and Y^T V (into their buffers), the
+point-gradient products W Y and W^T X, and Sinkhorn's products by a
+vector, K v, K^T u, K x and K^T y (the last two into vectors kept for
+the run); whole or split is chosen once per segment (`linalg.matvec`),
+so the loop on few-point groups makes no extra call per product.
+`linalg.row_halves` runs the elementwise passes over n1 x n0 buffers:
+B = C/eps, the kernel, the copy K -> K^T, the plan, P∘B with P∘(1 - B),
+each backward segment's end and g_c / C. Column sums, totals and the
+median's partial sort run whole.
 
 `exact_w1_oracle` is an independent brute-force check used by the test
 suite; it never touches the Sinkhorn path.
@@ -94,7 +98,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import NumericError, check_fields, matvec, split_rows
+from .linalg import NumericError, check_fields, matvec, row_halves, split_rows
 
 
 class DegenerateGroupsError(ValueError):
@@ -194,18 +198,24 @@ def _kernel(k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     formed in blocks of about 2^16 cells, so no full-size temporary is
     made."""
     step = max(1, 2**16 // k.shape[1])
-    for r in range(0, k.shape[0], step):
-        rows = slice(r, r + step)
-        np.subtract(f[rows, None] + g, k[rows], out=k[rows])
-    np.exp(k, out=k)
-    return k
+
+    def blocks(k, f):
+        for r in range(0, k.shape[0], step):
+            rows = slice(r, r + step)
+            np.subtract(f[rows, None] + g, k[rows], out=k[rows])
+        np.exp(k, out=k)
+
+    return row_halves(blocks, k, f)
+
+
+def _scaled(c: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """B = C/eps, written into out."""
+    return row_halves(lambda out, c: np.divide(c, eps, out=out), out, c)
 
 
 def _plan(u: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The plan diag(u) K diag(v), written into out."""
-    np.multiply(u[:, None], k, out=out)
-    out *= v
-    return out
+    return row_halves(lambda out, u, k: np.multiply(np.multiply(u[:, None], k, out=out), v, out=out), out, u, k)
 
 
 def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
@@ -220,7 +230,7 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     segment's K) and work (K^T in the loop, then the plan)."""
     n1, n0 = c.shape
     a, b = 1.0 / n1, 1.0 / n0
-    k = np.divide(c, eps)
+    k = _scaled(c, eps, np.empty(c.shape))
     f, g = np.zeros(n1), np.zeros(n0)
     if k.max() > math.log(_BOUND):
         f = k.min(axis=1)
@@ -233,7 +243,7 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
     iters = 0
     while True:
         _kernel(k, f, g)
-        np.copyto(kt, k.T)
+        row_halves(np.copyto, kt, k.T)
         kdot, ktdot = matvec(k), matvec(kt)
         # ndarray.dot, ufunc.reduce, 0-d operands and a positional out skip call
         # overheads that dominate on the few-point groups of the acceptance checks.
@@ -288,10 +298,16 @@ def _sinkhorn(c: np.ndarray, eps: float, cfg: SinkhornConfig):
         phi, psi = np.log(u_hist[keep - 1] / a), np.log(v_hist[keep] / b)
         f, g = f + phi, g + psi
         v = np.full(n0, b)
-        np.divide(c, eps, out=k)
+        _scaled(c, eps, k)
 
     p = _plan(u_hist[-1], k, v_hist[-1], work.reshape(n1, n0))
     return p, partial(_sinkhorn_backward, c, eps, segments), stop, iters
+
+
+def _segment_end(g_b, acc, yv, k):
+    """acc -= Y^T V; acc *= K; g_b += acc."""
+    np.multiply(np.subtract(acc, yv, out=acc), k, out=acc)
+    np.add(g_b, acc, out=g_b)
 
 
 def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
@@ -304,15 +320,19 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     n1, n0 = c.shape
     a, b = 1.0 / n1, 1.0 / n0
     f, g, u_hist, v_hist = segments[-1]
-    k = _kernel(np.divide(c, eps), f, g)
+    k = _kernel(_scaled(c, eps, np.empty(c.shape)), f, g)
     work = np.empty(n1 * n0)
     p = _plan(u_hist[-1], k, v_hist[-1], work.reshape(n1, n0))
-    g_b = np.divide(c, eps)  # B, until it turns into P∘(1 - B), the gradient's first term
-    acc = np.multiply(p, g_b)  # P∘B
+    g_b, acc = np.empty(c.shape), np.empty(c.shape)
+
+    def first_terms(g_b, acc, c, p):  # B, P∘B, and P∘(1 - B), the gradient's first term
+        np.divide(c, eps, out=g_b)
+        np.multiply(p, g_b, out=acc)
+        np.multiply(np.subtract(1.0, g_b, out=g_b), p, out=g_b)
+
+    row_halves(first_terms, g_b, acc, c, p)
     g_phi_plan = acc.sum(axis=1)
     g_psi = acc.sum(axis=0)
-    np.subtract(1.0, g_b, out=g_b)
-    g_b *= p
     kt = work.reshape(n0, n1)
     g_phi = np.empty(n1)
 
@@ -327,9 +347,9 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
     # those of the full scalings and g_psi carries across segments.
     for i, (f, g, u_hist, v_hist) in reversed(list(enumerate(segments))):
         if i < len(segments) - 1:
-            _kernel(np.divide(c, eps, out=k), f, g)
+            _kernel(_scaled(c, eps, k), f, g)
         u_hist, v_hist = np.ascontiguousarray(u_hist), np.ascontiguousarray(v_hist)
-        np.copyto(kt, k.T)
+        row_halves(np.copyto, kt, k.T)
         kdot, ktdot = matvec(k), matvec(kt)
         x_hist, y_hist = v_hist[1:] / b, u_hist / a
         for u_t, v_prev, x, y in zip(u_hist[::-1], v_hist[-2::-1], x_hist[::-1], y_hist[::-1]):
@@ -344,12 +364,17 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
             g_psi *= v_prev
         # g_b += K * (U^T X + Y^T V), with Y negated
         split_rows(np.matmul, u_hist.T, x_hist, n0, out=acc)
-        acc -= split_rows(np.matmul, y_hist.T, v_hist[:-1], n0, out=p)  # work, done as the plan and as K^T
-        acc *= k
-        g_b += acc
+        split_rows(np.matmul, y_hist.T, v_hist[:-1], n0, out=p)  # work, done as the plan and as K^T
+        row_halves(_segment_end, g_b, acc, p, k)
     if not np.all(np.isfinite(g_b)):
         raise NumericError("non-finite Sinkhorn gradient")
     return g_b
+
+
+def _quotient(g_c, c, apart):
+    """g_c / C where C > 0, and 0 where C = 0, into g_c."""
+    np.divide(g_c, c, out=g_c, where=np.greater(c, 0.0, out=apart))
+    np.copyto(g_c, 0.0, where=np.logical_not(apart, out=apart))
 
 
 def _groups(treated, control):
@@ -397,9 +422,7 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
 
         # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
         # without materializing the n1 x n0 x d unit-vector tensor
-        apart = c > 0.0
-        w = np.divide(g_c, c, out=g_c, where=apart)
-        w[~apart] = 0.0
+        w = row_halves(_quotient, g_c, c, np.empty(c.shape, bool))
         grad_treated = treated * w.sum(axis=1)[:, None] - split_rows(np.matmul, w, control, control.shape[1])
         grad_control = control * w.sum(axis=0)[:, None] - split_rows(np.matmul, w.T, treated, treated.shape[1])
         return grad_treated, grad_control

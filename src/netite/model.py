@@ -10,9 +10,10 @@ first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
 from the balancing penalty. Every dense product goes through
 `linalg.split_rows`: each encoder layer's H W, weight gradient H^T G and
 dL/dH G W^T, and each head layer's A W, weight gradient A^T G and dL/dA
-G W^T. From SPLIT_MIN multiply-adds up they run as two row halves at
-once, bit for bit as the whole product; the regression layer's
-one-column products run whole, as do the sparse A_hat products.
+G W^T. The sparse A_hat (H W) + b and A_hat G go through
+`linalg.sparse_rows`, and ReLU and its backward split as well. Above
+their thresholds each runs as two row halves at once, bit for bit as the
+whole pass; the regression layer's one-column products run whole.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, relu, relu_backward, split_rows
+from .linalg import ShapeError, relu, relu_backward, sparse_rows, split_rows
 
 
 def _layer_shapes(d_in: int, dims: list) -> list:
@@ -118,7 +119,7 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
-        z = ahat @ split_rows(np.matmul, h, w, w.shape[1]) + b
+        z = sparse_rows(ahat, split_rows(np.matmul, h, w, w.shape[1]), b)
         h = relu(z)
         enc_pre.append(z)
         enc_act.append(h)
@@ -206,7 +207,7 @@ def backward(
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
-        gm = trace.ahat @ gz  # A_hat is symmetric: A_hat^T gz == A_hat gz
+        gm = sparse_rows(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
         grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm, gm.shape[1])
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX

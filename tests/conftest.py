@@ -42,13 +42,14 @@ def count_worker_calls() -> list:
     return calls
 
 
-def run_on_one_blas_thread(call: str) -> None:
+def run_on_one_blas_thread(call: str, first: str = "") -> None:
     """Run `call`, a call into a test module such as
-    "test_model.f('x')", in a process of its own on one BLAS thread, and
-    fail with its stderr unless it exits 0. Bits of a split product are
+    "test_model.f('x')", in a process of its own on one BLAS thread, after
+    the statements `first` and before that the module's import, and fail
+    with its stderr unless it exits 0. Bits of a split product are
     the whole product's on one BLAS thread only: with more, OpenBLAS
     splits each call its own way, and its bits vary with its thread count."""
-    code = f"import {call.split('.')[0]}; {call}"
+    code = f"{first}\nimport {call.split('.')[0]}; {call}"
     paths = [str(Path(netite.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)})

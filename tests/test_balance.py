@@ -440,21 +440,26 @@ def test_w1_backward_holds_two_iterate_histories():
 
 def assert_w1_split_off_same_bytes():
     """On 905 x 883 groups with tol 0 and a cap of 120, W1 gives the same
-    dist, iteration count and gradient bytes with every product whole
-    (SPLIT_MIN = math.inf) as with its cost matrix, Sinkhorn's products
-    by a vector, the backward's K-shaped products and the point-gradient
-    products in halves: 2 + 2 * 120 of the forward, 2 * 120 + 2 + 2 of
-    the gradient read. At entropic_reg 0.01 no iterate repeats the one
-    before it, so every one of the 120 is computed."""
+    dist, iteration count and gradient bytes with every pass whole
+    (SPLIT_MIN = math.inf) as in halves. The forward splits 2 + 2 * 120 +
+    4: its cost matrix, Sinkhorn's products by a vector, and the passes
+    B = C/eps, K from B, the copy K -> K^T and the plan. The gradient read
+    splits 2 * 120 + 2 + 2 + 7: Sinkhorn's products by a vector, the
+    K-shaped products, the point-gradient products, and the passes C/eps,
+    K, the plan, B with P∘B and P∘(1 - B), K -> K^T, the segment's end
+    (acc - Y^T V) * K into g_b, and g_c / C where C > 0. At entropic_reg
+    0.01 no iterate repeats the one before it, so every one of the 120 is
+    computed."""
     a, b = gaussian_groups(3, 905, 883, 100)
     cfg = SinkhornConfig(entropic_reg=0.01, max_iters=120, convergence_tol=0.0)
     calls = count_worker_calls()
     res = wasserstein1(a, b, cfg)
+    assert len(calls) == 2 + 2 * 120 + 4
     grads = (res.grad_treated, res.grad_control)
-    assert len(calls) == 2 + 2 * 120 + 2 * 120 + 4 and res.iterations == 120
+    assert len(calls) == 2 + 2 * 120 + 4 + 2 * 120 + 2 + 2 + 7 and res.iterations == 120
     linalg.SPLIT_MIN = math.inf
     ref = wasserstein1(a, b, cfg)
-    assert len(calls) == 486
+    assert len(calls) == 497
     assert np.float64(res.dist).tobytes() == np.float64(ref.dist).tobytes() and ref.iterations == 120
     assert all(g.tobytes() == r.tobytes() for g, r in zip(grads, (ref.grad_treated, ref.grad_control)))
 

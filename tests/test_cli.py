@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netite
 from netite.cli import RESULT_COLUMNS, build_parser, expand_grid_file, format_results, main
 from netite.runner import SplitMetrics, TrainConfig
 
@@ -558,3 +563,25 @@ def test_unusable_paths(tmp_path, capsys, monkeypatch, args, code):
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_train_same_bytes_at_every_blas_thread_count(tmp_path):
+    """Importing netite holds numpy's OpenBLAS at one thread, so `netite
+    train` writes the same stdout and checkpoint with OPENBLAS_NUM_THREADS
+    unset, 1 or 2. At this criterion-7 data shape an unpinned OpenBLAS on
+    two or more cores rounds X W0, X^T G and Sinkhorn's K v otherwise."""
+    cfg = write_sim_config(tmp_path, n=3000, k=10, vocab=500, words_per_doc=300, kappa2=2.0, homophily=2.0,
+                           target_degree=20.0)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data"), "--reps", "1"]) == 0
+    src = str(Path(netite.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    data, runs = tmp_path / "data" / "rep_0", []
+    for threads in (None, "1", "2"):
+        ckpt = tmp_path / f"model-{threads}.ckpt"
+        pin = {"OPENBLAS_NUM_THREADS": threads} if threads else {}
+        out = subprocess.run([sys.executable, "-m", "netite.cli", "train", "--data", str(data), "--epochs", "5",
+                              "--dim", "64", "--checkpoint", str(ckpt)],
+                             capture_output=True, env={**env, "PYTHONPATH": src, **pin})
+        assert out.returncode == 0, out.stderr
+        runs.append((out.stdout, ckpt.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]

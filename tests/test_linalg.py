@@ -1,19 +1,25 @@
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from netite import balance, linalg
 from netite.balance import SinkhornConfig, wasserstein1
 from netite.gradcheck import fd_max_rel_err
-from netite.linalg import make_rng, relu, relu_backward, split_rows
+from netite.graph import normalize_adjacency
+from netite.linalg import make_rng, relu, relu_backward, row_halves, sparse_rows, split_rows
+from netite.simgen import SimConfig, simulate
 from conftest import count_worker_calls, run_on_one_blas_thread
 
 
@@ -131,6 +137,12 @@ def test_split_off_at_infinity(monkeypatch):
     a, b = _big_operands(905, 883, 120)
     assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
     assert linalg.matvec(a) == a.dot
+    assert relu(a).tobytes() == np.maximum(a, 0.0).tobytes()
+    eye = sp.identity(905, format="csr")
+    assert sparse_rows(eye, a, a[0]).tobytes() == (eye @ a + a[0]).tobytes()
+    seen = []
+    row_halves(lambda x: seen.append(x.shape), a)
+    assert seen == [a.shape]
 
 
 def test_worker_exception_reraises_in_caller():
@@ -144,11 +156,41 @@ def test_worker_exception_reraises_in_caller():
 
     with pytest.raises(ZeroDivisionError, match="raised on the worker"):
         split_rows(fails_off_the_caller, a, b, b.shape[1])
+    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
+
+
+def test_split_keeps_no_reference_to_its_arrays():
+    """Once a split returns, the worker holds none of its operands or its
+    output: each dies when the caller drops it."""
+    a, b = _big_operands()
+    out = split_rows(np.matmul, a, b, b.shape[1])
+    k = make_rng(19).normal(size=(905, 883))
+    k2 = row_halves(lambda y, x: np.multiply(x, 2.0, out=y), np.empty(k.shape), k)
+    refs = [weakref.ref(x) for x in (a, b, out, k, k2)]
+    del a, b, out, k, k2
+    assert all(r() is None for r in refs)
+
+
+def test_caller_that_finds_the_worker_busy_runs_whole():
+    a, b = _big_operands()
+    seen = []
+
+    def f(p, q, out):
+        seen.append((threading.current_thread(), p.shape[0]))
+        np.matmul(p, q, out=out)
+
+    caller = threading.Thread(target=split_rows, args=(f, a, b, b.shape[1]))
+    with linalg._worker().busy:
+        caller.start()
+        caller.join(timeout=20)
+    assert not caller.is_alive() and seen == [(caller, a.shape[0])]
 
 
 def test_concurrent_callers_share_the_worker():
-    """More callers than cores, switching often: every split still equals
-    the whole product, and every caller finishes."""
+    """More callers than cores, switching often: every split, or whole run
+    where another caller holds the worker, equals the whole product, and
+    every caller finishes. In-process: the import holds OpenBLAS at one
+    thread (test_import_holds_openblas_at_one_thread)."""
     a, b = _big_operands()
     whole = (a @ b).tobytes()
     results = []
@@ -213,3 +255,80 @@ def test_split_in_a_forked_child():
         os.waitpid(pid, 0)
         pytest.fail("the forked child's split did not finish in 20 s")
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_import_holds_openblas_at_one_thread():
+    """Where numpy bundles scipy-openblas, importing netite sets it to one
+    thread, whatever OPENBLAS_NUM_THREADS says."""
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    if not libs:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    code = "import ctypes, sys, netite; print(ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(libs[0])], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout == "1\n", out.stderr
+
+
+def assert_one_cpu_runs_whole():
+    calls = count_worker_calls()
+    a, b = _big_operands(905, 883, 120)
+    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
+    assert relu(a).tobytes() == np.maximum(a, 0.0).tobytes()
+    assert not calls and threading.active_count() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_process_on_one_cpu_never_reaches_the_worker():
+    """The split costs 4-10% where both halves share one core, so a process
+    that may run on one CPU only runs every pass whole, with the same bytes."""
+    run_on_one_blas_thread("test_linalg.assert_one_cpu_runs_whole()",
+                           first="import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})")
+
+
+def assert_sparse_products_equal_whole():
+    """A_hat (H W) + b and A_hat G at the paper default: 3000 x 100."""
+    calls = count_worker_calls()
+    ahat = normalize_adjacency(simulate(SimConfig(seed=0)).net)
+    m = make_rng(16).normal(size=(ahat.shape[0], 100))
+    b = make_rng(17).normal(size=100)
+    assert 16 * m.size >= linalg.SPLIT_MIN
+    assert sparse_rows(ahat, m).tobytes() == (ahat @ m).tobytes()
+    assert sparse_rows(ahat, m, b).tobytes() == (ahat @ m + b).tobytes()
+    assert len(calls) == 2
+
+
+def test_sparse_products_equal_whole_products_bit_for_bit():
+    run_on_one_blas_thread("test_linalg.assert_sparse_products_equal_whole()")
+
+
+def assert_relu_passes_equal_whole():
+    """At 3000 x 100, with zeros of both signs, infinities and NaNs."""
+    calls = count_worker_calls()
+    m, up = make_rng(18).normal(size=(2, 3000, 100))
+    m[::7, ::3], m[1::7, ::5], m[2::11, ::7], up[::5, ::2] = 0.0, -0.0, np.nan, -0.0
+    up[3::13, ::3], m[4::17, ::4] = np.inf, -np.inf
+    assert 16 * m.size >= linalg.SPLIT_MIN
+    assert relu(m).tobytes() == np.maximum(m, 0.0).tobytes()
+    assert relu_backward(m, up).tobytes() == np.where(m > 0.0, up, 0.0).tobytes()
+    assert len(calls) == 2
+
+
+def test_relu_passes_equal_whole_passes_bit_for_bit():
+    run_on_one_blas_thread("test_linalg.assert_relu_passes_equal_whole()")
+
+
+def test_row_halves_cut_every_array_by_rows(monkeypatch):
+    """Each half gets its rows of every array passed, a transposed view
+    included; what broadcasts along the rows comes from fn itself."""
+    calls, worker = [], linalg._worker
+    monkeypatch.setattr(linalg, "_worker", lambda: calls.append(1) or worker())
+    k = make_rng(19).normal(size=(905, 883))
+    u, v = make_rng(20).normal(size=905), make_rng(21).normal(size=883)
+    kt = np.empty((883, 905))
+    row_halves(np.copyto, kt, k.T)
+    assert kt.tobytes() == np.ascontiguousarray(k.T).tobytes()
+    out = np.empty(k.shape)
+    row_halves(lambda out, u, k: np.multiply(np.multiply(u[:, None], k, out=out), v, out=out), out, u, k)
+    assert out.tobytes() == (u[:, None] * k * v).tobytes()
+    assert len(calls) == (0 if linalg._ONE_CPU else 2)
