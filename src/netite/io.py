@@ -51,8 +51,12 @@ its values, a dimension below 1, a seed outside 0..2**63-1 or a
 non-finite value raises CheckpointError. Each of the six header lines
 must hold its key and integer value(s); one that is blank, out of order
 or holds another value is named by its line, as is a bad format or
-seed. All floats are written with repr(), so a load(save(x)) round trip
-is bit exact.
+seed. Dataset floats are written with repr(); checkpoint values are
+written byte for byte as repr() writes them, by a numpy formatter over
+blocks of _BLOCK values (see _repr_lines), so a load(save(x)) round
+trip is bit exact. save_checkpoint raises NumericError, naming the first
+non-finite coordinate, before it opens the file: such a value would
+not load.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Network
+from .linalg import NumericError
 from .model import ModelParams
 from .simgen import NetworkedDataset, SimConfig
 
@@ -77,7 +82,7 @@ FORMAT_VERSION = 1
 NODE_COLUMNS_FULL = ["id", "t", "yf", "ycf", "mu0", "mu1", "prob_t"]
 NODE_COLUMNS_OBS = ["id", "t", "yf"]
 
-CHUNK_LINES = 1 << 16  # feature or checkpoint lines per write, feature lines per parse
+CHUNK_LINES = 1 << 16  # feature lines per write or parse
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _EDGE = np.dtype([("i", np.int64), ("j", np.int64)])
@@ -270,18 +275,149 @@ def read_dataset(dirpath) -> NetworkedDataset:
     return NetworkedDataset(x=x, net=net, **columns)
 
 
+_BLOCK = 1 << 13  # checkpoint values formatted per pass: its temporaries stay in cache
+_U = np.uint64
+_FRAC = _U((1 << 52) - 1)
+_M32 = _U((1 << 32) - 1)
+_POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)
+_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_NDIG = 17  # digit columns of the layout source; then one column per byte of _ASCII
+_ASCII = b"\0\n-.0123456789e"  # the pad byte, then every other byte a layout writes
+_DECPT0 = 9  # decpt + _DECPT0 indexes the layouts: the fast path's decpt is -9 to 14
+
+
+def _layout(neg: int, decpt: int, nd: int) -> list:
+    """Source columns of the line repr() writes for the value
+    0.d1 d2 ... d_nd x 10^decpt, negative if neg."""
+    def ascii_(text):
+        return [_NDIG + _ASCII.index(c) for c in text.encode()]
+
+    digits = list(range(nd))
+    if decpt <= -4 or decpt > 16:
+        body = digits[:1] + (ascii_(".") + digits[1:] if nd > 1 else []) + ascii_(f"e{decpt - 1:+03d}")
+    elif decpt <= 0:
+        body = ascii_("0." + "0" * -decpt) + digits
+    elif decpt >= nd:
+        body = digits + ascii_("0" * (decpt - nd) + ".0")
+    else:
+        body = digits[:decpt] + ascii_(".") + digits[decpt:]
+    return ascii_("-" * neg) + body + ascii_("\n")
+
+
+def _layout_table():
+    """Every layout, keyed (neg, decpt + _DECPT0, nd) in row-major order,
+    padded with the pad byte to 24 bytes; nd = 0 keys the empty line."""
+    rows = [_layout(neg, decpt - _DECPT0, nd) if nd else []
+            for neg in (0, 1) for decpt in range(24) for nd in range(_NDIG + 1)]
+    table = np.full((len(rows), 24), _NDIG, dtype=np.intp)
+    for row, cols in zip(table, rows):
+        row[:len(cols)] = cols
+    return table, np.array([len(cols) for cols in rows])
+
+
+_LAYOUTS, _LINE_BYTES = _layout_table()
+_NEG = 24 * (_NDIG + 1)  # key offset of a negative sign
+_ZERO = (1 + _DECPT0) * (_NDIG + 1) + 1  # key of 0.0: one digit, 0, with decpt 1
+
+
+def _repr_lines(v: np.ndarray) -> bytes:
+    """The bytes of "".join(f"{x!r}\\n" for x in v.tolist()), for a
+    contiguous float64 block v of finite values.
+
+    repr() writes the shortest digit string that reads back as x, the
+    nearest to x of those (dtoa mode 0), in the 'r' layout: exponent form,
+    with two exponent digits or more, when decpt <= -4 or decpt > 16,
+    else fixed form, with ".0" on an integral value. Here ±0.0 and the
+    values 1e-10 <= |x| < 1e14 whose significand m (hidden bit included)
+    is not a power of two take the fast path; every other value is
+    written by repr() alone. For |x| = m 2^q let t = 17 - floor(log10 |x|)
+    and W = |x| 10^t = P / 2^r, with P = m 5^t exact in two uint64 limbs
+    (m < 2^53, 5^t < 2^63). W has 17 to 19 integer digits, 17 where
+    log10 rounded up. Every real within half an ulp of x, 5^t / 2^(r+1)
+    in W's units, reads back as x. That interval is symmetric since m is
+    not a power of two, and its ends (2P -/+ 5^t) / 2^(r+1) have odd
+    numerators, so no integer lies on one: round-half-even on reading
+    never decides, and `above` and `below` are the least and greatest
+    integers strictly inside. A string of at most 17 digits is an integer
+    multiple of some 10^j in W's units, so the shortest strings are the
+    multiples of 10^j inside for the largest j that has one. A multiple
+    of 10^j is one of 10^(j-1), so the test for j = 1, 2, ... stops at its
+    first miss. Since the interval is symmetric, the multiple nearest W is
+    inside whenever any is, so D = round(W / 10^j) is repr()'s digit
+    string. An exact half, where dtoa rounds to even, and j = 0 go to
+    repr(). The layout of each line is a gather from its digits and
+    _ASCII through the layout keyed by its sign, decpt and digit count.
+    Integer arithmetic is all uint64, and no float operation can raise
+    or warn under np.errstate(all="raise")."""
+    n = v.size
+    ax = np.abs(v)
+    fast = (ax >= 1e-10) & (ax < 1e14) & (v.view(np.uint64) & _FRAC != 0)
+    y = np.where(fast, ax, 1.5)  # 1.5 stands in for the values repr() writes
+    t = (17 - np.floor(np.log10(y))).astype(np.uint64)
+    f = _POW5[t]
+    m = y.view(np.uint64) & _FRAC | _U(1 << 52)
+    ml, mh, fl, fh = m & _M32, m >> _U(32), f & _M32, f >> _U(32)
+    low = ml * fl
+    mid = ml * fh + mh * fl
+    lo = low + (mid << _U(32))
+    hi = mh * fh + (mid >> _U(32)) + (lo < low)
+    r = _U(1075) - (y.view(np.uint64) >> _U(52)) - t  # 2 to 60
+    w = (hi << (_U(64) - r)) | (lo >> r)
+    wf = lo & ((_U(1) << r) - _U(1))  # W = w + wf / 2^r
+    r += _U(1)
+    hf, wf2 = f & ((_U(1) << r) - _U(1)), wf << _U(1)  # the half ulp is (f >> r) + hf / 2^r
+    above = w - (f >> r) - (wf2 < hf) + _U(1)
+    below = w + (f >> r) + (wf2 + hf > (_U(1) << r))
+    j = np.zeros(n, dtype=np.intp)
+    for k in range(1, _NDIG + 1):
+        inside = below // _POW10[k] * _POW10[k] >= above
+        if not inside.any():
+            break
+        j += inside
+    p = _POW10[j]
+    d = w // p
+    rem2 = (w - d * p) << _U(1)
+    d += (rem2 > p) | (rem2 == p) & (wf != 0)
+    fast &= (j > 0) & ((rem2 != p) | (wf != 0))
+    d *= fast
+    nd = np.searchsorted(_POW10, d, side="right")
+    key = np.where(fast, (nd + j - t.astype(np.intp) + _DECPT0) * (_NDIG + 1) + nd, np.where(ax == 0, _ZERO, 0))
+    key += np.signbit(v) * _NEG
+    src = np.empty((_NDIG + len(_ASCII), n), dtype=np.uint8)
+    q = d * _POW10[_NDIG - nd]  # the digits, left-aligned to 17
+    for k in range(_NDIG - 1, -1, -1):  # numpy divides by a constant fast, but takes % slowly
+        tens = q // _U(10)
+        src[k] = q - tens * _U(10)
+        q = tens
+    src[:_NDIG] += ord("0")
+    src[_NDIG:] = np.frombuffer(_ASCII, np.uint8)[:, None]
+    cols = np.take(_LAYOUTS, key, axis=0)
+    cols *= n
+    cols += np.arange(n)[:, None]
+    out = np.take(src, cols)
+    lines = out[out != 0].tobytes()
+    slow = np.flatnonzero(~fast & (ax != 0))
+    if slow.size == 0:
+        return lines
+    cuts = np.cumsum(_LINE_BYTES[key])[slow].tolist()  # a slow value's line is empty: its end is its start
+    parts = []
+    for i, start, end in zip(slow.tolist(), [0, *cuts], cuts):
+        parts += [lines[start:end], f"{v[i].item()!r}\n".encode()]
+    return b"".join(parts + [lines[cuts[-1]:]])
+
+
 def save_checkpoint(path, params: ModelParams, seed: int) -> None:
-    theta = params.theta
-    with open(path, "w") as f:
-        f.write(f"format {FORMAT_VERSION}\n")
-        f.write(f"seed {seed}\n")
-        f.write(f"num_features {params.num_features}\n")
-        f.write("gcn_dims " + ",".join(str(d) for d in params.gcn_dims) + "\n")
-        f.write("head_dims " + ",".join(str(d) for d in params.head_dims) + "\n")
-        f.write(f"values {theta.size}\n")
-        values = theta.tolist()
-        for start in range(0, len(values), CHUNK_LINES):
-            f.write("\n".join(map(repr, values[start:start + CHUNK_LINES])) + "\n")
+    theta = np.ascontiguousarray(params.theta, dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
+        bad = int(np.flatnonzero(~np.isfinite(theta))[0])
+        raise NumericError(f"non-finite parameter at coordinate {bad}: the checkpoint would not load")
+    header = (f"format {FORMAT_VERSION}\nseed {seed}\nnum_features {params.num_features}\n"
+              f"gcn_dims {','.join(map(str, params.gcn_dims))}\n"
+              f"head_dims {','.join(map(str, params.head_dims))}\nvalues {theta.size}\n")
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        for start in range(0, theta.size, _BLOCK):
+            f.write(_repr_lines(theta[start:start + _BLOCK]))
 
 
 def load_checkpoint(path):

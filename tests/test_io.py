@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from netite import io as nio
 from netite.graph import Network
-from netite.linalg import make_rng
+from netite.linalg import NumericError, make_rng
 from netite.model import ModelParams, init_params
 from netite.runner import TrainConfig
 from netite.simgen import NetworkedDataset, SimConfig, simulate
@@ -349,12 +349,98 @@ def test_checkpoint_save_is_deterministic(tmp_path):
 
 
 def test_checkpoint_values_span_write_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(nio, "CHUNK_LINES", 7)
+    monkeypatch.setattr(nio, "_BLOCK", 7)
     p = sample_params()
     nio.save_checkpoint(tmp_path / "model.ckpt", p, seed=3)
     lines = (tmp_path / "model.ckpt").read_text().splitlines(keepends=True)
     assert len(lines) - 6 > 7 * 10
     assert lines[6:] == [f"{v!r}\n" for v in p.theta.tolist()]
+
+
+def _repr_reference(values) -> bytes:
+    """Checkpoint value lines as a loop over repr() writes them."""
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+
+
+def _formatted(values) -> bytes:
+    """Checkpoint value lines as save_checkpoint writes them, block by block."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    with np.errstate(all="raise"):
+        return b"".join(nio._repr_lines(v[s:s + nio._BLOCK]) for s in range(0, v.size, nio._BLOCK))
+
+
+def _targeted_values():
+    powers = [10.0**k for k in range(-10, 17)]
+    values = [5e-324, np.finfo(np.float64).tiny, np.finfo(np.float64).max, 1e-4, 1e-5, 1.5e-5, 0.1, 1e14, 1e16]
+    values += [np.nextafter(x, toward) for x in powers + [1e-4, 1e-5] for toward in (0.0, np.inf)]
+    values += powers + [np.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [float(f"{'12345678901234567'[:nd]}e{k}") for nd in range(1, 18) for k in range(-14, 6)]
+    values += [2.0**46 + k / 8 for k in range(1, 64, 2)]  # exact halves between 16-digit strings
+    values += [9007199254740993.0, 2.0**53 - 1, 123456789012345.6, 1 / 3, 2 / 3]
+    return np.array(values + [-x for x in values])
+
+
+def test_repr_lines_equal_repr_on_targeted_values():
+    v = _targeted_values()
+    assert _formatted(v) == _repr_reference(v)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_repr_lines_equal_repr_on_a_block_of_zeros(zero):
+    v = np.full(nio._BLOCK, zero)
+    assert _formatted(v) == _repr_reference(v)
+
+
+def test_repr_lines_equal_repr_on_a_seeded_sweep():
+    rng = np.random.default_rng(20261021)
+    n = 250_000
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    sweep = [
+        bits[np.isfinite(bits)],
+        rng.normal(size=n) * 10.0 ** rng.uniform(-12, 16, n),
+        np.round(rng.normal(size=n) * 10.0 ** rng.integers(0, 10, n)) / 10.0 ** rng.integers(0, 17, n),
+        rng.normal(0, 0.1, n),
+    ]
+    for v in sweep:
+        assert _formatted(v) == _repr_reference(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_repr_lines_equal_repr_on_bit_patterns(patterns):
+    v = np.array(patterns, dtype=np.uint64).view(np.float64)
+    v = v[np.isfinite(v)]
+    assert _formatted(v) == _repr_reference(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example([0.0, -0.0, 5e-324, 1e-5, 1e-4, 70368744177664.125])
+def test_repr_lines_equal_repr_on_floats(values):
+    assert _formatted(values) == _repr_reference(values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_a_non_finite_value(tmp_path, value):
+    params = sample_params()
+    params.theta[[17, 40]] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(NumericError, match=r"coordinate 17\b"):
+        nio.save_checkpoint(path, params, seed=0)
+    assert not path.exists()
+
+
+def test_save_checkpoint_peak_memory_is_bounded(tmp_path):
+    params = ModelParams(2000, [100, 100], [100, 100])  # 250,802 values, the paper-scale model
+    params.theta[:] = np.random.default_rng(0).normal(0, 0.1, params.theta.size)
+    tracemalloc.start()
+    try:
+        nio.save_checkpoint(tmp_path / "model.ckpt", params, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # theta's values as Python floats alone would take 6 MB
+    assert peak < 6e6
 
 
 def test_checkpoint_truncated_raises(tmp_path):
