@@ -363,8 +363,8 @@ def _sinkhorn_backward(c: np.ndarray, eps: float, segments: list) -> np.ndarray:
             ktdot(y, out=g_psi)  # x has read the g_psi this overwrites
             g_psi *= v_prev
         # g_b += K * (U^T X + Y^T V), with Y negated
-        split_rows(np.matmul, u_hist.T, x_hist, n0, out=acc)
-        split_rows(np.matmul, y_hist.T, v_hist[:-1], n0, out=p)  # work, done as the plan and as K^T
+        split_rows(np.matmul, u_hist.T, x_hist, out=acc)
+        split_rows(np.matmul, y_hist.T, v_hist[:-1], out=p)  # work, done as the plan and as K^T
         row_halves(_segment_end, g_b, acc, p, k)
     if not np.all(np.isfinite(g_b)):
         raise NumericError("non-finite Sinkhorn gradient")
@@ -392,7 +392,7 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
     computed on the first read of either gradient field, from copies of
     the rows taken now."""
     treated, control = _groups(treated, control)
-    c = split_rows(cdist, treated, control, control.shape[0])
+    c = split_rows(cdist, treated, control, out=np.empty((len(treated), len(control))))
     if not np.all(np.isfinite(c)):
         raise NumericError("non-finite pairwise cost")
     scale, med_idx, med_wts = _median_with_support(c)
@@ -423,8 +423,8 @@ def wasserstein1(treated: np.ndarray, control: np.ndarray, cfg: SinkhornConfig) 
         # dC_ij/dx_i = (x_i - y_j) / C_ij (zero at coincident points), applied
         # without materializing the n1 x n0 x d unit-vector tensor
         w = row_halves(_quotient, g_c, c, np.empty(c.shape, bool))
-        grad_treated = treated * w.sum(axis=1)[:, None] - split_rows(np.matmul, w, control, control.shape[1])
-        grad_control = control * w.sum(axis=0)[:, None] - split_rows(np.matmul, w.T, treated, treated.shape[1])
+        grad_treated = treated * w.sum(axis=1)[:, None] - split_rows(np.matmul, w, control)
+        grad_control = control * w.sum(axis=0)[:, None] - split_rows(np.matmul, w.T, treated)
         return grad_treated, grad_control
 
     return W1Result(dist, grads, converged, iters)

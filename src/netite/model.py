@@ -10,10 +10,10 @@ first layer's weights: dL/dX is never formed. `backward` also takes a dL/dH
 from the balancing penalty. Every dense product goes through
 `linalg.split_rows`: each encoder layer's H W, weight gradient H^T G and
 dL/dH G W^T, and each head layer's A W, weight gradient A^T G and dL/dA
-G W^T. The sparse A_hat (H W) + b and A_hat G go through
-`linalg.sparse_rows`, and ReLU and its backward split as well. Above
-their thresholds each runs as two row halves at once, bit for bit as the
-whole pass; the regression layer's one-column products run whole.
+G W^T. The sparse A_hat (H W) and A_hat G go through `linalg.sparse_rows`.
+Above their thresholds each runs as two row halves at once, bit for bit
+as the whole pass; the regression layer's one-column products, the bias
+adds, ReLU and its backward run whole.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
     for w, b in zip(params.gcn_weights, params.gcn_biases):
         if h.shape[1] != w.shape[0]:
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
-        z = sparse_rows(ahat, split_rows(np.matmul, h, w, w.shape[1]), b)
+        z = sparse_rows(ahat, split_rows(np.matmul, h, w))
+        z += b
         h = relu(z)
         enc_pre.append(z)
         enc_act.append(h)
@@ -130,7 +131,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, t: int):
     a = h
     pre, act = [], [a]
     for w, b in zip(params.head_weights[t][:-1], params.head_biases[t][:-1]):
-        s = split_rows(np.matmul, a, w, w.shape[1]) + b
+        s = split_rows(np.matmul, a, w) + b
         a = relu(s)
         pre.append(s)
         act.append(a)
@@ -200,16 +201,16 @@ def backward(
             if l < len(pre):
                 gs = relu_backward(pre[l], gs)
             w = params.head_weights[t][l]
-            grads.head_weights[t][l][...] = split_rows(np.matmul, act[l].T, gs, w.shape[1])
+            grads.head_weights[t][l][...] = split_rows(np.matmul, act[l].T, gs)
             grads.head_biases[t][l][...] = gs.sum(axis=0)
-            gs = split_rows(np.matmul, gs, w.T, w.shape[0])
+            gs = split_rows(np.matmul, gs, w.T)
         gh[rows] += gs
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
         gz = relu_backward(trace.enc_pre[l], gh)
         gm = sparse_rows(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
-        grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm, gm.shape[1])
+        grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm)
         grads.gcn_biases[l][...] = gz.sum(axis=0)
         if l > 0:  # nothing reads dL/dX
-            gh = split_rows(np.matmul, gm, params.gcn_weights[l].T, params.gcn_weights[l].shape[0])
+            gh = split_rows(np.matmul, gm, params.gcn_weights[l].T)
     return grads

@@ -3,16 +3,18 @@
 The acceptance module registers one line per criterion here; the
 terminal-summary hook replays them at the end of the run so they are
 visible regardless of capture settings.
-"""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+The bit tests compare split and whole passes byte for byte in this
+process. A split has the whole pass's bits on one BLAS thread only: with
+more, OpenBLAS splits each call its own way. Importing netite holds
+numpy's bundled OpenBLAS at one thread where that library exports
+scipy_openblas_set_num_threads64_ (test_import_holds_openblas_at_one_thread).
+Where it does not, as in an older numpy wheel whose OpenBLAS lacks that
+symbol, run the tests with OPENBLAS_NUM_THREADS=1, as CI does.
+"""
 
 import pytest
 
-import netite
 from netite import balance, linalg
 
 criterion_lines = []
@@ -33,27 +35,16 @@ def backward_runs(monkeypatch):
     return runs
 
 
-def count_worker_calls() -> list:
-    """A list that gains one entry per split that reaches the worker, for
-    the rest of the process: for the subprocesses of run_on_one_blas_thread."""
+@pytest.fixture
+def worker_calls(monkeypatch):
+    """A list that gains one entry per split that reaches the worker. Every
+    split at or above its threshold does, as on a host of two or more
+    CPUs, whatever this process's affinity."""
     calls = []
     worker = linalg._worker
-    linalg._worker = lambda: calls.append(1) or worker()
+    monkeypatch.setattr(linalg, "_ONE_CPU", False)
+    monkeypatch.setattr(linalg, "_worker", lambda: calls.append(1) or worker())
     return calls
-
-
-def run_on_one_blas_thread(call: str, first: str = "") -> None:
-    """Run `call`, a call into a test module such as
-    "test_model.f('x')", in a process of its own on one BLAS thread, after
-    the statements `first` and before that the module's import, and fail
-    with its stderr unless it exits 0. Bits of a split product are
-    the whole product's on one BLAS thread only: with more, OpenBLAS
-    splits each call its own way, and its bits vary with its thread count."""
-    code = f"{first}\nimport {call.split('.')[0]}; {call}"
-    paths = [str(Path(netite.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)})
-    assert out.returncode == 0, out.stderr
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -26,7 +26,6 @@ from netite.balance import (
     wasserstein1,
 )
 from netite.linalg import NumericError, make_rng
-from conftest import count_worker_calls, run_on_one_blas_thread
 
 TIGHT = SinkhornConfig(entropic_reg=0.01, max_iters=5000, convergence_tol=1e-12)
 
@@ -438,7 +437,7 @@ def test_w1_backward_holds_two_iterate_histories():
 
 
 
-def assert_w1_split_off_same_bytes():
+def test_w1_same_bytes_with_the_split_off(monkeypatch, worker_calls):
     """On 905 x 883 groups with tol 0 and a cap of 120, W1 gives the same
     dist, iteration count and gradient bytes with every pass whole
     (SPLIT_MIN = math.inf) as in halves. The forward splits 2 + 2 * 120 +
@@ -452,20 +451,16 @@ def assert_w1_split_off_same_bytes():
     computed."""
     a, b = gaussian_groups(3, 905, 883, 100)
     cfg = SinkhornConfig(entropic_reg=0.01, max_iters=120, convergence_tol=0.0)
-    calls = count_worker_calls()
     res = wasserstein1(a, b, cfg)
-    assert len(calls) == 2 + 2 * 120 + 4
+    assert len(worker_calls) == 2 + 2 * 120 + 4
     grads = (res.grad_treated, res.grad_control)
-    assert len(calls) == 2 + 2 * 120 + 4 + 2 * 120 + 2 + 2 + 7 and res.iterations == 120
-    linalg.SPLIT_MIN = math.inf
+    assert len(worker_calls) == 2 + 2 * 120 + 4 + 2 * 120 + 2 + 2 + 7 and res.iterations == 120
+    monkeypatch.setattr(linalg, "SPLIT_MIN", math.inf)
     ref = wasserstein1(a, b, cfg)
-    assert len(calls) == 497
+    assert len(worker_calls) == 497
     assert np.float64(res.dist).tobytes() == np.float64(ref.dist).tobytes() and ref.iterations == 120
     assert all(g.tobytes() == r.tobytes() for g, r in zip(grads, (ref.grad_treated, ref.grad_control)))
 
-
-def test_w1_same_bytes_with_the_split_off():
-    run_on_one_blas_thread("test_balance.assert_w1_split_off_same_bytes()")
 
 # Property tests of the W1 invariants. Coordinates lie on a grid of
 # spacing 1/4, so two points either coincide or lie at least 1/4 apart,

@@ -20,7 +20,6 @@ from netite.gradcheck import fd_max_rel_err
 from netite.graph import normalize_adjacency
 from netite.linalg import make_rng, relu, relu_backward, row_halves, sparse_rows, split_rows
 from netite.simgen import SimConfig, simulate
-from conftest import count_worker_calls, run_on_one_blas_thread
 
 
 def test_relu_and_backward():
@@ -65,31 +64,28 @@ def _big_operands(rows=300, inner=200, cols=80):
     return rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
 
 
-def assert_split_products_equal_whole(rows, inner, cols):
-    """Into a new array and into a given one."""
-    calls = count_worker_calls()
-    a, b = _big_operands(rows, inner, cols)
-    g = make_rng(12).normal(size=(rows, cols))
-    y = make_rng(13).normal(size=(cols + 5, inner))
-    cases = [(np.matmul, a, b, cols), (np.matmul, a.T, g, cols), (cdist, a, y, y.shape[0])]
-    for f, p, q, width in cases:
-        assert p.shape[0] * q.size >= linalg.SPLIT_MIN
-        whole = f(p, q).tobytes()
-        assert split_rows(f, p, q, width).tobytes() == whole
-        out = np.empty((p.shape[0], width))
-        assert split_rows(f, p, q, width, out=out) is out and out.tobytes() == whole
-    assert len(calls) == 2 * len(cases)
-
-
 # (400, 500, 300) and (905, 120, 883) differ from the whole product when
 # split at m // 2, off OpenBLAS's row blocks.
 @pytest.mark.parametrize("rows, inner, cols", [(300, 200, 80), (301, 199, 97), (400, 500, 300), (905, 120, 883)])
-def test_split_products_equal_whole_products_bit_for_bit(rows, inner, cols):
-    run_on_one_blas_thread(f"test_linalg.assert_split_products_equal_whole({rows}, {inner}, {cols})")
+def test_split_products_equal_whole_products_bit_for_bit(worker_calls, rows, inner, cols):
+    """Into a new array and into a given one."""
+    a, b = _big_operands(rows, inner, cols)
+    g = make_rng(12).normal(size=(rows, cols))
+    y = make_rng(13).normal(size=(cols + 5, inner))
+    for f, p, q in [(np.matmul, a, b), (np.matmul, a.T, g), (cdist, a, y)]:
+        assert p.shape[0] * q.size >= linalg.SPLIT_MIN
+        whole = f(p, q)
+        out = np.empty(whole.shape)
+        if f is not cdist:  # whose output has q's rows, not its columns: it needs out
+            assert split_rows(f, p, q).tobytes() == whole.tobytes()
+        assert split_rows(f, p, q, out=out) is out and out.tobytes() == whole.tobytes()
+    assert len(worker_calls) == 5
 
 
-def assert_split_matrix_vector_products_equal_whole(rows, cols):
-    calls = count_worker_calls()
+@pytest.mark.parametrize("rows, cols", [(905, 883), (512, 600), (1001, 263), (4099, 65)])
+def test_split_matrix_vector_products_equal_whole_bit_for_bit(worker_calls, rows, cols):
+    """From SPLIT_MIN / 16 cells up, a product by a vector splits at a
+    multiple of 4 rows; other boundaries round some halves otherwise."""
     k = make_rng(14).normal(size=(rows, cols))
     x = make_rng(15).normal(size=cols)
     assert 16 * k.size >= linalg.SPLIT_MIN
@@ -97,14 +93,24 @@ def assert_split_matrix_vector_products_equal_whole(rows, cols):
     out = np.empty(rows)
     assert dot(x).tobytes() == k.dot(x).tobytes()
     assert dot(x, out=out) is out and out.tobytes() == k.dot(x).tobytes()
-    assert len(calls) == 2
+    assert len(worker_calls) == 2
 
 
-@pytest.mark.parametrize("rows, cols", [(905, 883), (512, 600), (1001, 263), (4099, 65)])
-def test_split_matrix_vector_products_equal_whole_bit_for_bit(rows, cols):
-    """From SPLIT_MIN / 16 cells up, a product by a vector splits at a
-    multiple of 4 rows; other boundaries round some halves otherwise."""
-    run_on_one_blas_thread(f"test_linalg.assert_split_matrix_vector_products_equal_whole({rows}, {cols})")
+@pytest.mark.parametrize("split_min", [linalg.SPLIT_MIN, math.inf], ids=["split", "whole"])
+def test_split_rows_shapes_its_output_from_its_operands(monkeypatch, worker_calls, split_min):
+    """The output is out where given; else it has a's rows and b's
+    columns, or is a vector when b is. A one-column output runs whole."""
+    a, b = _big_operands(300, 200, 80)
+    k, x = make_rng(14).normal(size=(905, 883)), make_rng(15).normal(size=883)
+    y = make_rng(13).normal(size=(85, 200))
+    tall, column = make_rng(16).normal(size=(1050, 4000)), make_rng(17).normal(size=(4000, 1))
+    assert tall.shape[0] * column.size >= linalg.SPLIT_MIN
+    monkeypatch.setattr(linalg, "SPLIT_MIN", split_min)
+    for got, want in [(split_rows(np.matmul, a, b), a @ b), (split_rows(np.dot, k, x), k.dot(x)),
+                      (split_rows(cdist, a, y, out=np.empty((300, 85))), cdist(a, y)),
+                      (split_rows(np.matmul, tall, column), tall @ column)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(worker_calls) == (3 if split_min < math.inf else 0)
 
 
 def _no_worker():
@@ -120,7 +126,7 @@ def test_products_that_run_whole_never_reach_the_worker(monkeypatch, rows, inner
     its matrix-vector path for the whole, which rounds otherwise."""
     monkeypatch.setattr(linalg, "_worker", _no_worker)
     a, b = _big_operands(rows, inner, cols)
-    assert split_rows(np.matmul, a, b, cols).tobytes() == (a @ b).tobytes()
+    assert split_rows(np.matmul, a, b).tobytes() == (a @ b).tobytes()
 
 
 def test_small_matrix_vector_products_run_whole():
@@ -135,11 +141,10 @@ def test_split_off_at_infinity(monkeypatch):
     monkeypatch.setattr(linalg, "_worker", _no_worker)
     monkeypatch.setattr(linalg, "SPLIT_MIN", math.inf)
     a, b = _big_operands(905, 883, 120)
-    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
+    assert split_rows(np.matmul, a, b).tobytes() == (a @ b).tobytes()
     assert linalg.matvec(a) == a.dot
-    assert relu(a).tobytes() == np.maximum(a, 0.0).tobytes()
     eye = sp.identity(905, format="csr")
-    assert sparse_rows(eye, a, a[0]).tobytes() == (eye @ a + a[0]).tobytes()
+    assert sparse_rows(eye, a).tobytes() == (eye @ a).tobytes()
     seen = []
     row_halves(lambda x: seen.append(x.shape), a)
     assert seen == [a.shape]
@@ -155,15 +160,15 @@ def test_worker_exception_reraises_in_caller():
         np.matmul(p, q, out=out)
 
     with pytest.raises(ZeroDivisionError, match="raised on the worker"):
-        split_rows(fails_off_the_caller, a, b, b.shape[1])
-    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
+        split_rows(fails_off_the_caller, a, b)
+    assert split_rows(np.matmul, a, b).tobytes() == (a @ b).tobytes()
 
 
 def test_split_keeps_no_reference_to_its_arrays():
     """Once a split returns, the worker holds none of its operands or its
     output: each dies when the caller drops it."""
     a, b = _big_operands()
-    out = split_rows(np.matmul, a, b, b.shape[1])
+    out = split_rows(np.matmul, a, b)
     k = make_rng(19).normal(size=(905, 883))
     k2 = row_halves(lambda y, x: np.multiply(x, 2.0, out=y), np.empty(k.shape), k)
     refs = [weakref.ref(x) for x in (a, b, out, k, k2)]
@@ -179,7 +184,7 @@ def test_caller_that_finds_the_worker_busy_runs_whole():
         seen.append((threading.current_thread(), p.shape[0]))
         np.matmul(p, q, out=out)
 
-    caller = threading.Thread(target=split_rows, args=(f, a, b, b.shape[1]))
+    caller = threading.Thread(target=split_rows, args=(f, a, b))
     with linalg._worker().busy:
         caller.start()
         caller.join(timeout=20)
@@ -196,7 +201,7 @@ def test_concurrent_callers_share_the_worker():
     results = []
 
     def caller():
-        results.extend(split_rows(np.matmul, a, b, b.shape[1]).tobytes() == whole for _ in range(20))
+        results.extend(split_rows(np.matmul, a, b).tobytes() == whole for _ in range(20))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -237,14 +242,14 @@ def test_split_in_a_forked_child():
     must start one rather than wait on the parent's forever."""
     a, b = _big_operands()
     whole = a @ b
-    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == whole.tobytes()
+    assert split_rows(np.matmul, a, b).tobytes() == whole.tobytes()
     with warnings.catch_warnings():  # Python 3.12 warns on a fork with threads running
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if split_rows(np.matmul, a, b, b.shape[1]).tobytes() == whole.tobytes() else 2
+            code = 0 if split_rows(np.matmul, a, b).tobytes() == whole.tobytes() else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 20
@@ -257,72 +262,70 @@ def test_split_in_a_forked_child():
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+def _src_env(**env) -> dict:
+    return {**os.environ, **env, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+
+
 def test_import_holds_openblas_at_one_thread():
-    """Where numpy bundles scipy-openblas, importing netite sets it to one
+    """Where numpy's bundled OpenBLAS exports
+    scipy_openblas_set_num_threads64_, importing netite sets it to one
     thread, whatever OPENBLAS_NUM_THREADS says."""
-    root = Path(np.__file__).parent
-    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    libs = linalg._one_blas_thread()
     if not libs:
-        pytest.skip("numpy bundles no scipy-openblas here")
+        pytest.skip("numpy bundles no OpenBLAS here that exports scipy_openblas_set_num_threads64_")
     code = "import ctypes, sys, netite; print(ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_())"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code, str(libs[0])], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code, str(libs[0])], capture_output=True, text=True,
+                         env=_src_env(OPENBLAS_NUM_THREADS="2"))
     assert out.returncode == 0 and out.stdout == "1\n", out.stderr
 
 
-def assert_one_cpu_runs_whole():
-    calls = count_worker_calls()
-    a, b = _big_operands(905, 883, 120)
-    assert split_rows(np.matmul, a, b, b.shape[1]).tobytes() == (a @ b).tobytes()
-    assert relu(a).tobytes() == np.maximum(a, 0.0).tobytes()
-    assert not calls and threading.active_count() == 1
+ONE_CPU_RUN = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from netite import linalg
+linalg._worker = None  # a split would call it
+a, b = linalg.make_rng(11).normal(size=(905, 883)), linalg.make_rng(12).normal(size=(883, 120))
+assert linalg.split_rows(np.matmul, a, b).tobytes() == (a @ b).tobytes()
+assert linalg.row_halves(np.copyto, np.empty(a.T.shape), a.T).tobytes() == np.ascontiguousarray(a.T).tobytes()
+assert threading.active_count() == 1
+"""
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_process_on_one_cpu_never_reaches_the_worker():
     """The split costs 4-10% where both halves share one core, so a process
-    that may run on one CPU only runs every pass whole, with the same bytes."""
-    run_on_one_blas_thread("test_linalg.assert_one_cpu_runs_whole()",
-                           first="import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})")
+    that may run on one CPU only runs every pass whole, with the same
+    bytes. It reads its CPUs at import, so this runs in a process of its
+    own."""
+    out = subprocess.run([sys.executable, "-c", ONE_CPU_RUN], capture_output=True, text=True, env=_src_env())
+    assert out.returncode == 0, out.stderr
 
 
-def assert_sparse_products_equal_whole():
-    """A_hat (H W) + b and A_hat G at the paper default: 3000 x 100."""
-    calls = count_worker_calls()
+def test_sparse_products_equal_whole_products_bit_for_bit(worker_calls):
+    """A_hat M at the paper default: 3000 x 100."""
     ahat = normalize_adjacency(simulate(SimConfig(seed=0)).net)
     m = make_rng(16).normal(size=(ahat.shape[0], 100))
-    b = make_rng(17).normal(size=100)
     assert 16 * m.size >= linalg.SPLIT_MIN
     assert sparse_rows(ahat, m).tobytes() == (ahat @ m).tobytes()
-    assert sparse_rows(ahat, m, b).tobytes() == (ahat @ m + b).tobytes()
-    assert len(calls) == 2
+    assert len(worker_calls) == 1
 
 
-def test_sparse_products_equal_whole_products_bit_for_bit():
-    run_on_one_blas_thread("test_linalg.assert_sparse_products_equal_whole()")
-
-
-def assert_relu_passes_equal_whole():
-    """At 3000 x 100, with zeros of both signs, infinities and NaNs."""
-    calls = count_worker_calls()
+def test_relu_passes_never_reach_the_worker(monkeypatch):
+    """They run whole at any size: at 3000 x 100, with zeros of both
+    signs, infinities and NaNs, the bytes of np.maximum and np.where."""
+    monkeypatch.setattr(linalg, "_worker", _no_worker)
     m, up = make_rng(18).normal(size=(2, 3000, 100))
     m[::7, ::3], m[1::7, ::5], m[2::11, ::7], up[::5, ::2] = 0.0, -0.0, np.nan, -0.0
     up[3::13, ::3], m[4::17, ::4] = np.inf, -np.inf
     assert 16 * m.size >= linalg.SPLIT_MIN
     assert relu(m).tobytes() == np.maximum(m, 0.0).tobytes()
     assert relu_backward(m, up).tobytes() == np.where(m > 0.0, up, 0.0).tobytes()
-    assert len(calls) == 2
 
 
-def test_relu_passes_equal_whole_passes_bit_for_bit():
-    run_on_one_blas_thread("test_linalg.assert_relu_passes_equal_whole()")
-
-
-def test_row_halves_cut_every_array_by_rows(monkeypatch):
+def test_row_halves_cut_every_array_by_rows(worker_calls):
     """Each half gets its rows of every array passed, a transposed view
     included; what broadcasts along the rows comes from fn itself."""
-    calls, worker = [], linalg._worker
-    monkeypatch.setattr(linalg, "_worker", lambda: calls.append(1) or worker())
     k = make_rng(19).normal(size=(905, 883))
     u, v = make_rng(20).normal(size=905), make_rng(21).normal(size=883)
     kt = np.empty((883, 905))
@@ -331,4 +334,4 @@ def test_row_halves_cut_every_array_by_rows(monkeypatch):
     out = np.empty(k.shape)
     row_halves(lambda out, u, k: np.multiply(np.multiply(u[:, None], k, out=out), v, out=out), out, u, k)
     assert out.tobytes() == (u[:, None] * k * v).tobytes()
-    assert len(calls) == (0 if linalg._ONE_CPU else 2)
+    assert len(worker_calls) == 2

@@ -21,7 +21,6 @@ from netite.model import (
 )
 from netite.runner import TrainConfig, make_split, objective
 from netite.simgen import SimConfig, simulate
-from conftest import count_worker_calls, run_on_one_blas_thread
 from test_acceptance import ORDERING_SIM, ORDERING_TRAIN
 
 
@@ -339,36 +338,31 @@ def paper_default_instance():
 INSTANCES = {"paper-default": paper_default_instance, "criterion-7": criterion_7_instance}
 
 
-def assert_split_off_same_bytes(name, splits):
+@pytest.mark.parametrize("name, splits", [("paper-default", 94), ("criterion-7", 17)])
+def test_objective_same_bytes_with_the_split_off(monkeypatch, worker_calls, name, splits):
     """One objective evaluation gives the same bytes with every pass
     whole (SPLIT_MIN = math.inf) as with the `splits` passes at or above
     their thresholds in halves. The split sites: each encoder layer's H W,
-    A_hat (H W) + b, ReLU, ReLU backward, A_hat G and weight gradient, and
-    dL/dH of every layer but the first; each head layer's A W, weight
-    gradient and dL/dA, but for the one-column regression layer; and W1's
-    cost matrix, Sinkhorn's K v and K^T u (one more K v before the loop),
-    the backward's K x and K^T y, its two K-shaped products, the two
-    point-gradient products, and its elementwise passes over n1 x n0
-    buffers: 4 in the forward and 7 in the gradient read (see
-    test_balance.assert_w1_split_off_same_bytes). At the paper default,
-    W1 on 900 x 900 groups runs 14 iterations: 73 of the 98 splits, and
-    the encoder's sparse products and ReLU passes are 8 more. The
-    criterion-7 shape runs no W1, and its 3000 x 64 encoder passes are
-    below the threshold of the sparse and elementwise passes."""
+    A_hat (H W), A_hat G and weight gradient, and dL/dH of every layer but
+    the first; each head layer's A W, weight gradient and dL/dA, but for
+    the one-column regression layer; and W1's cost matrix, Sinkhorn's K v
+    and K^T u (one more K v before the loop), the backward's K x and K^T y,
+    its two K-shaped products, the two point-gradient products, and its
+    elementwise passes over n1 x n0 buffers: 4 in the forward and 7 in the
+    gradient read (see test_balance.test_w1_same_bytes_with_the_split_off).
+    ReLU and its backward run whole. At the paper default, W1 on 900 x 900
+    groups runs 14 iterations: 73 of the 94 splits, and the encoder's
+    sparse products are 4 more. The criterion-7 shape runs no W1, and its
+    3000 x 64 encoder passes are below the threshold of the sparse
+    passes."""
     params, ds, train_idx, cfg, ahat = INSTANCES[name]()
-    calls = count_worker_calls()
     loss, grads, parts = objective(params, ds, train_idx, cfg, ahat=ahat)[:3]
-    assert len(calls) == splits
-    linalg.SPLIT_MIN = math.inf
+    assert len(worker_calls) == splits
+    monkeypatch.setattr(linalg, "SPLIT_MIN", math.inf)
     ref_loss, ref_grads, ref_parts = objective(params, ds, train_idx, cfg, ahat=ahat)[:3]
-    assert len(calls) == splits
+    assert len(worker_calls) == splits
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes() and parts == ref_parts
     assert grads.theta.tobytes() == ref_grads.theta.tobytes()
-
-
-@pytest.mark.parametrize("name, splits", [("paper-default", 98), ("criterion-7", 17)])
-def test_objective_same_bytes_with_the_split_off(name, splits):
-    run_on_one_blas_thread(f"test_model.assert_split_off_same_bytes({name!r}, {splits})")
 
 
 def test_forward_deterministic():
