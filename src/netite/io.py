@@ -20,8 +20,9 @@ array is ever held.
 read_dataset checks meta.json first: it must be a JSON object whose
 format_version is the integer FORMAT_VERSION, else DatasetVersionError.
 It raises ValueError, prefixed with the file's name, when
-  features.mtx  the header is not three non-negative integers, x of the
-                header's shape cannot be allocated, the triplet count
+  features.mtx  the header is not three non-negative integers, declares
+                no feature columns (m = 0), x of the header's shape
+                cannot be allocated, the triplet count
                 (trailing lines included) differs from the header's nnz,
                 a line is not an "i j v" triplet, a row or column index
                 is out of range, a value is not finite, or a cell is
@@ -195,6 +196,8 @@ def _read_features(path: Path) -> np.ndarray:
         n, m, nnz = header[0].tolist()
         if min(n, m, nnz) < 0:
             raise ValueError(f"negative size in header {n} {m} {nnz}")
+        if m == 0:
+            raise ValueError(f"the header {n} {m} {nnz} declares no feature columns")
         try:
             x = np.zeros((n, m))
         except MemoryError:

@@ -1,5 +1,5 @@
-"""Shape and numeric error types, config field checks, seeded RNGs, ReLU,
-and the row-halves runner of large passes.
+"""Shape and numeric error types, config field checks, seeded RNGs and
+the row-halves runner of large passes.
 
 Everything here is float64 and pure: functions never mutate their inputs
 (an `out=` array is an output), so they are safe to call from multiple
@@ -20,8 +20,7 @@ product's half boundary, m // 2 rounded down, falls on a row block of
 OpenBLAS's kernel: 24 rows for dgemm, 4 for dgemv (on its Haswell and
 SkylakeX kernels; off them a half can round otherwise, as at m // 2).
 Smaller passes never reach the worker; a caller that finds it busy, and a
-process that may run on one CPU only, runs the pass whole. So do ReLU and
-its backward: halves saved them under 1 ms of an 85 ms epoch.
+process that may run on one CPU only, runs the pass whole.
 """
 
 from __future__ import annotations
@@ -100,18 +99,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     sequence on every platform."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def relu(m: np.ndarray) -> np.ndarray:
-    """max(m, 0)."""
-    return np.maximum(m, 0.0)
-
-
-def relu_backward(m: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Mask upstream where the forward input was <= 0 (subgradient 0 at 0)."""
-    if m.shape != upstream.shape:
-        raise ShapeError(f"relu_backward shape mismatch: {m.shape} vs {upstream.shape}")
-    return np.where(m > 0.0, upstream, 0.0)
 
 
 class _Worker:

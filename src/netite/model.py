@@ -13,7 +13,8 @@ dL/dH G W^T, and each head layer's A W, weight gradient A^T G and dL/dA
 G W^T. The sparse A_hat (H W) and A_hat G go through `linalg.sparse_rows`.
 Above their thresholds each runs as two row halves at once, bit for bit
 as the whole pass; the regression layer's one-column products, the bias
-adds, ReLU and its backward run whole.
+adds and ReLU run whole. ReLU is np.maximum(z, 0), and its backward
+passes the gradient only where z > 0: the subgradient at 0 is 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, relu, relu_backward, sparse_rows, split_rows
+from .linalg import ShapeError, sparse_rows, split_rows
 
 
 def _layer_shapes(d_in: int, dims: list) -> list:
@@ -121,7 +122,7 @@ def encode(params: ModelParams, ahat: sp.csr_matrix, x: np.ndarray):
             raise ShapeError(f"encode: layer input {h.shape} vs weight {w.shape}")
         z = sparse_rows(ahat, split_rows(np.matmul, h, w))
         z += b
-        h = relu(z)
+        h = np.maximum(z, 0.0)
         enc_pre.append(z)
         enc_act.append(h)
     return h, enc_pre, enc_act
@@ -131,8 +132,9 @@ def _head_forward(params: ModelParams, h: np.ndarray, t: int):
     a = h
     pre, act = [], [a]
     for w, b in zip(params.head_weights[t][:-1], params.head_biases[t][:-1]):
-        s = split_rows(np.matmul, a, w) + b
-        a = relu(s)
+        s = split_rows(np.matmul, a, w)
+        s += b
+        a = np.maximum(s, 0.0)
         pre.append(s)
         act.append(a)
     yhat = a @ params.head_weights[t][-1] + params.head_biases[t][-1]
@@ -199,18 +201,17 @@ def backward(
         gs = grad_yhat[rows][:, None]  # the regression layer has no ReLU
         for l in range(len(params.head_weights[t]) - 1, -1, -1):
             if l < len(pre):
-                gs = relu_backward(pre[l], gs)
-            w = params.head_weights[t][l]
-            grads.head_weights[t][l][...] = split_rows(np.matmul, act[l].T, gs)
-            grads.head_biases[t][l][...] = gs.sum(axis=0)
-            gs = split_rows(np.matmul, gs, w.T)
+                gs = np.where(pre[l] > 0.0, gs, 0.0)
+            split_rows(np.matmul, act[l].T, gs, out=grads.head_weights[t][l])
+            gs.sum(axis=0, out=grads.head_biases[t][l])
+            gs = split_rows(np.matmul, gs, params.head_weights[t][l].T)
         gh[rows] += gs
 
     for l in range(len(params.gcn_weights) - 1, -1, -1):
-        gz = relu_backward(trace.enc_pre[l], gh)
+        gz = np.where(trace.enc_pre[l] > 0.0, gh, 0.0)
         gm = sparse_rows(trace.ahat, gz)  # A_hat is symmetric: A_hat^T gz == A_hat gz
-        grads.gcn_weights[l][...] = split_rows(np.matmul, trace.enc_act[l].T, gm)
-        grads.gcn_biases[l][...] = gz.sum(axis=0)
+        split_rows(np.matmul, trace.enc_act[l].T, gm, out=grads.gcn_weights[l])
+        gz.sum(axis=0, out=grads.gcn_biases[l])
         if l > 0:  # nothing reads dL/dX
             gh = split_rows(np.matmul, gm, params.gcn_weights[l].T)
     return grads

@@ -200,8 +200,10 @@ def train(dataset: NetworkedDataset, split: Split, cfg: TrainConfig):
     """Full-batch ADAM training; model selection picks the epoch with the
     best validation factual MSE and scores it on the representations that
     epoch computed, with no second encoder pass. Returns (params,
-    MetricsReport)."""
+    MetricsReport). Data without the counterfactual outcomes that the
+    final metrics need raises ValueError before the first epoch."""
     _check_train_groups(dataset.t, split.train)
+    dataset.true_ite()  # raises on data without ground truth
     ahat = normalize_adjacency(dataset.net)
     rng = make_rng(cfg.seed, stream=11)
     params = init_params(cfg, dataset.x.shape[1], rng)

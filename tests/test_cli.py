@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import netite
+from netite import io as nio
 from netite.cli import RESULT_COLUMNS, build_parser, expand_grid_file, format_results, main
 from netite.runner import SplitMetrics, TrainConfig
 
@@ -509,6 +510,27 @@ def test_unallocatable_feature_shape_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "features.mtx: cannot allocate" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_dataset_without_feature_columns_exits_3(tmp_path, capsys, command):
+    out = simulate_dir(tmp_path, capsys=capsys)
+    (out / "rep_0" / "features.mtx").write_text("60 0 0\n")
+    rc = main(_command_args(command, str(out / "rep_0"), tmp_path))
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "features.mtx: " in captured.err and "no feature columns" in captured.err
+
+
+def test_dataset_without_nodes_exits_4(tmp_path, capsys):
+    """n = 0 with feature columns still reads, and fails at the split."""
+    data = simulate_dir(tmp_path, capsys=capsys) / "rep_0"
+    (data / "features.mtx").write_text("0 30 0\n")
+    (data / "edges.tsv").write_text("")
+    (data / "nodes.tsv").write_text("\t".join(nio.NODE_COLUMNS_FULL) + "\n")
+    assert main(["train", "--data", str(data), *TRAIN_FAST]) == 4
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_eval_non_finite_checkpoint_exits_6(tmp_path, capsys):

@@ -203,6 +203,7 @@ MALFORMED = {
     "two-field header": ("features.mtx", lambda lines: lines.__setitem__(0, lines[0].rsplit(" ", 1)[0])),
     "non-integer header": ("features.mtx", _set_field(0, 1, "30.5")),
     "blank header": ("features.mtx", lambda lines: lines.__setitem__(0, "")),
+    "no feature columns": ("features.mtx", lambda lines: lines.__setitem__(slice(None), ["40 0 0"])),
 }
 
 # The file line, header and blank lines counted, that each of these

@@ -18,36 +18,8 @@ from netite import balance, linalg
 from netite.balance import SinkhornConfig, wasserstein1
 from netite.gradcheck import fd_max_rel_err
 from netite.graph import normalize_adjacency
-from netite.linalg import make_rng, relu, relu_backward, row_halves, sparse_rows, split_rows
+from netite.linalg import make_rng, row_halves, sparse_rows, split_rows
 from netite.simgen import SimConfig, simulate
-
-
-def test_relu_and_backward():
-    assert np.array_equal(relu(np.array([[-1.0, 2.0]])), np.array([[0.0, 2.0]]))
-    out = relu_backward(np.array([[-1.0, 2.0]]), np.array([[5.0, 5.0]]))
-    assert np.array_equal(out, np.array([[0.0, 5.0]]))
-
-
-def test_relu_all_negative():
-    m = -np.ones((3, 3))
-    assert np.array_equal(relu(m), np.zeros((3, 3)))
-    assert np.array_equal(relu_backward(m, np.ones((3, 3))), np.zeros((3, 3)))
-
-
-def test_relu_subgradient_zero_at_zero():
-    out = relu_backward(np.array([[0.0]]), np.array([[7.0]]))
-    assert out[0, 0] == 0.0
-
-
-def test_relu_backward_finite_difference():
-    rng = make_rng(5)
-    x = rng.normal(size=(4, 3))
-    u = rng.normal(size=(4, 3))
-    h = 1e-6
-    # directional derivative of sum(relu(x)) along u
-    fd = ((relu(x + h * u) - relu(x - h * u)) / (2 * h)).sum()
-    analytic = relu_backward(x, u).sum()
-    assert abs(fd - analytic) / max(abs(analytic), 1e-12) < 1e-6
 
 
 def test_rng_streams_reproducible_and_distinct():
@@ -309,18 +281,6 @@ def test_sparse_products_equal_whole_products_bit_for_bit(worker_calls):
     assert 16 * m.size >= linalg.SPLIT_MIN
     assert sparse_rows(ahat, m).tobytes() == (ahat @ m).tobytes()
     assert len(worker_calls) == 1
-
-
-def test_relu_passes_never_reach_the_worker(monkeypatch):
-    """They run whole at any size: at 3000 x 100, with zeros of both
-    signs, infinities and NaNs, the bytes of np.maximum and np.where."""
-    monkeypatch.setattr(linalg, "_worker", _no_worker)
-    m, up = make_rng(18).normal(size=(2, 3000, 100))
-    m[::7, ::3], m[1::7, ::5], m[2::11, ::7], up[::5, ::2] = 0.0, -0.0, np.nan, -0.0
-    up[3::13, ::3], m[4::17, ::4] = np.inf, -np.inf
-    assert 16 * m.size >= linalg.SPLIT_MIN
-    assert relu(m).tobytes() == np.maximum(m, 0.0).tobytes()
-    assert relu_backward(m, up).tobytes() == np.where(m > 0.0, up, 0.0).tobytes()
 
 
 def test_row_halves_cut_every_array_by_rows(worker_calls):

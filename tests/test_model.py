@@ -132,6 +132,24 @@ def test_backward_zero_upstream():
     assert np.array_equal(grads.flatten(), np.zeros_like(grads.flatten()))
 
 
+def test_relu_subgradient_is_zero_at_zero():
+    """With X = 0 and zero encoder biases every encoder pre-activation is
+    exactly 0, as is each head's second hidden unit: their gradients are
+    exactly 0, while the live first unit's are not."""
+    cfg = small_cfg(gcn_layers=2, out_layers=1)
+    p = init_params(cfg, 3, make_rng(6))
+    for t in (0, 1):
+        p.head_biases[t][0][:] = [0.5, 0.0]
+    ahat = normalize_adjacency(Network.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
+    _, trace = forward(p, ahat, np.zeros((4, 3)), np.array([0, 1, 0, 1]))
+    grads = backward(p, trace, np.ones(4))
+    for g in grads.gcn_weights + grads.gcn_biases:
+        assert np.array_equal(g, np.zeros_like(g))
+    for t in (0, 1):
+        assert grads.head_biases[t][0][0] != 0.0 and grads.head_biases[t][0][1] == 0.0
+        assert grads.head_weights[t][-1][0, 0] != 0.0 and grads.head_weights[t][-1][1, 0] == 0.0
+
+
 def test_backward_single_instance_linear_chain_rule():
     # one node, 1 GCN layer, 1 head layer, all positive so ReLU is identity:
     # yhat = w . relu(W . relu(x U + b) + c) + beta

@@ -493,6 +493,27 @@ def test_grid_failing_cell_recorded_and_skipped():
     assert statuses[0] is not None and statuses[1] is None
 
 
+def test_train_without_ground_truth_fails_before_any_epoch(tmp_path, monkeypatch):
+    from netite import io as nio
+    from netite import runner
+
+    nio.write_dataset(tmp_path / "d", tiny_dataset(), observational_only=True)
+    ds = nio.read_dataset(tmp_path / "d")
+    split = make_split(ds.n, ds.t, 0)
+    calls, real = [], runner.objective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "objective", counted)
+    with pytest.raises(ValueError, match="counterfactual outcomes unavailable"):
+        train(ds, split, tiny_cfg(epochs=7))
+    with pytest.raises(ValueError, match="counterfactual outcomes unavailable"):
+        grid_search(ds, split, [tiny_cfg(epochs=7), tiny_cfg(epochs=3)])
+    assert calls == []
+
+
 def test_grid_deterministic_winner():
     ds = tiny_dataset()
     split = make_split(ds.n, ds.t, 0)
