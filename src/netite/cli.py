@@ -4,11 +4,12 @@ Subcommands: simulate, train, grid, eval, gradcheck. Tables go to
 stdout, diagnostics to stderr, and every error is one stderr line.
 train and eval take --ablation-identity, the network-blind ablation: the
 dataset is read with its edges removed, and nothing else changes.
-Exit codes: 0 success, 2 bad configuration (a count flag below 1 or a
-negative seed too), missing input file or unsupported dataset format
-version, 3 I/O failure or malformed dataset file, 4 degenerate split, 5
-non-finite loss, floating-point overflow or a grid whose every cell
-failed, 6 corrupt or mismatched checkpoint, 7 gradient check failure.
+Exit codes: 0 success, 2 bad configuration (a count flag below 1, a
+negative seed, or a size that cannot be allocated, numpy's message naming
+it), missing input file or unsupported dataset format version, 3 I/O
+failure or malformed dataset file, 4 degenerate split, 5 non-finite loss,
+floating-point overflow or a grid whose every cell failed, 6 corrupt or
+mismatched checkpoint, 7 gradient check failure.
 main runs each command under np.errstate (raise on all but underflow)
 and turns errors into codes through EXIT_CODES; a command maps an error
 itself only where its type means another code there. Every command is
@@ -271,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 # looked up along the exception's MRO: FileNotFoundError is 2, any other OSError 3
 EXIT_CODES = {FileNotFoundError: EXIT_BAD_CONFIG, OSError: EXIT_IO, DegenerateSplitError: EXIT_DEGENERATE_SPLIT,
               NonFiniteLossError: EXIT_NONFINITE_LOSS, NumericError: EXIT_NONFINITE_LOSS,
-              FloatingPointError: EXIT_NONFINITE_LOSS, nio.CheckpointError: EXIT_CHECKPOINT}
+              FloatingPointError: EXIT_NONFINITE_LOSS, nio.CheckpointError: EXIT_CHECKPOINT,
+              MemoryError: EXIT_BAD_CONFIG}
 
 
 def main(argv=None) -> int:

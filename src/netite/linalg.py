@@ -11,16 +11,20 @@ it finds that library and its `scipy_openblas_set_num_threads64_`: so
 the row halves are the only parallelism, and every product has the
 one-thread bits. Other numpy code in the process loses BLAS threads too.
 
-`split_rows`, `sparse_rows` and `row_halves` run a large pass as two row
-halves at once: the first on the calling thread, the second on one worker
-thread, started on first use (again in a forked child, which inherits no
-threads) and woken by a pair of locks. Each half makes the same call on
-its own rows into one output, so every element is the whole pass's. A
-product's half boundary, m // 2 rounded down, falls on a row block of
-OpenBLAS's kernel: 24 rows for dgemm, 4 for dgemv (on its Haswell and
-SkylakeX kernels; off them a half can round otherwise, as at m // 2).
-Smaller passes never reach the worker; a caller that finds it busy, and a
-process that may run on one CPU only, runs the pass whole.
+One split rule runs the large passes. `split_rows`, `sparse_rows` and
+`row_halves` each hand a pass of m rows, its cell count and its row
+alignment to `_halves`. From SPLIT_MIN cells up it runs two row halves at
+once, cut at m // 2 rounded down to the alignment: the first on the
+calling thread, the second on one worker thread, started on first use
+(again in a forked child, which inherits no threads) and woken by a pair
+of locks. It runs the pass whole where that cut is 0, where the process
+may run on one CPU only, and where the worker is busy. Each half makes
+the same call on its own rows into one output, so every element is the
+whole pass's. A matrix product counts its multiply-adds and cuts on
+dgemm's row block of 24 rows; the memory-bound passes count 16 per cell
+(a product by a vector, cut on dgemv's 4 rows; a sparse product, per
+cell of its dense operand; an elementwise pass, per cell of its output).
+Off those row blocks a half can round otherwise, as at m // 2.
 """
 
 from __future__ import annotations
@@ -34,17 +38,18 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
-# Multiply-adds from which split_rows runs a product as two row halves at
-# once; below it, the thread hop would cost more than the second core saves.
-# A product by a vector is memory-bound, so its cells count 16 times: in
-# Sinkhorn's sweeps, halves lost below about 1.8e5 cells and won above, on a
-# 2-core x86_64 host. Sparse and elementwise passes are memory-bound too, and
-# split from SPLIT_MIN / 16 output cells. Each half of a matrix product is at
-# least a quarter of it, above the 10^6 multiply-adds under which OpenBLAS's
-# SkylakeX dgemm takes a small-matrix path that rounds otherwise. math.inf
-# splits nothing.
+try:
+    from scipy.sparse._sparsetools import csr_matvecs
+except ImportError:  # a scipy that moved its private kernel: sparse_rows runs a @ m whole
+    csr_matvecs = None
+
+# Cells from which a pass splits; below it, the thread hop would cost more
+# than the second core saves: in Sinkhorn's products by a vector, halves lost
+# below about 1.8e5 multiply-adds and won above, on a 2-core x86_64 host. Each
+# half of a matrix product is at least a quarter of it, above the 10^6
+# multiply-adds under which OpenBLAS's SkylakeX dgemm takes a small-matrix path
+# that rounds otherwise. math.inf splits nothing.
 SPLIT_MIN = 2**22
 
 # Where both halves would share one CPU, the hand-off only adds work: read once, at import.
@@ -134,12 +139,16 @@ def _worker() -> _Worker:
     return _runner
 
 
-def _halves(fn, mid: int, m: int) -> None:
-    """fn(slice(0, mid)) on this thread and fn(slice(mid, m)) on the
-    worker at once; or fn(slice(0, m)) here alone, where this process may
-    run on one CPU only or the worker is running another caller's half.
-    An exception on the worker re-raises here."""
-    worker = None if _ONE_CPU else _worker()
+def _mid(m: int, cells: int, align: int = 1) -> int:
+    """The first row of a pass's second half, or 0 where it runs whole."""
+    return m // (2 * align) * align if cells >= SPLIT_MIN else 0
+
+
+def _halves(fn, m: int, cells: int, align: int = 1) -> None:
+    """fn(slice(0, mid)) here and fn(slice(mid, m)) on the worker at once,
+    or fn(slice(0, m)) here alone; an exception on the worker re-raises here."""
+    mid = _mid(m, cells, align)
+    worker = None if _ONE_CPU or mid == 0 else _worker()
     if worker is None or not worker.busy.acquire(blocking=False):
         return fn(slice(0, m))
     worker.task = fn, slice(mid, m)
@@ -154,32 +163,15 @@ def _halves(fn, mid: int, m: int) -> None:
         raise error
 
 
-def _mid(m: int, cells: int, vector: bool) -> int:
-    """The first row of the second half of a product of m rows and
-    `cells` multiply-adds, or 0 where it runs whole."""
-    if vector:
-        return m // 8 * 4 if 16 * cells >= SPLIT_MIN else 0
-    return m // 48 * 24 if cells >= SPLIT_MIN else 0
-
-
 def split_rows(f, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
-    """f(a, b), or f(a, b, out=out), for f = np.matmul, np.dot or scipy's
-    cdist on float64 operands that share no memory: the output is `out`,
-    or else has a's rows and b's columns, or is a vector when b is (so
-    cdist, whose output has b's rows, takes out). From SPLIT_MIN
-    multiply-adds up (SPLIT_MIN / 16 by a vector), each half of the rows
-    runs f(a[rows], b, out=...) into one output. Below, or where the first
-    half would be empty or the output has one column (numpy's
-    matrix-vector path rounds otherwise than its matrix-matrix one), the
-    product runs whole."""
+    """f(a, b, out=out) for f = np.matmul, np.dot or scipy's cdist on float64
+    operands that share no memory; out, where not given, has a's rows and
+    b's columns, or is a vector when b is (cdist takes out). A one-column
+    output runs whole: numpy's matrix-vector path rounds otherwise."""
     m = a.shape[0]
-    shape = out.shape if out is not None else (m, *b.shape[1:])
-    mid = _mid(m, m * b.size, b.ndim == 1) if shape[1:] != (1,) else 0
-    if mid == 0:
-        return f(a, b) if out is None else f(a, b, out=out)
-    if out is None:
-        out = np.empty(shape)
-    _halves(lambda rows: f(a[rows], b, out=out[rows]), mid, m)
+    out = np.empty((m, *b.shape[1:])) if out is None else out
+    cells = 0 if out.shape[1:] == (1,) else m * b.size * (16 if b.ndim == 1 else 1)
+    _halves(lambda rows: f(a[rows], b, out=out[rows]), m, cells, 4 if b.ndim == 1 else 24)
     return out
 
 
@@ -187,16 +179,15 @@ def matvec(a: np.ndarray):
     """a.dot, or the same product by split_rows where a's products by a
     vector split, chosen once, so a loop of products on few-point groups
     pays no extra call per product."""
-    return partial(split_rows, np.dot, a) if _mid(a.shape[0], a.size, True) else a.dot
+    return partial(split_rows, np.dot, a) if _mid(len(a), 16 * a.size, 4) else a.dot
 
 
 def sparse_rows(a, m: np.ndarray) -> np.ndarray:
-    """a @ m, for a scipy sparse matrix a and a 2-D m. From SPLIT_MIN / 16
-    cells of m up, where a is a float64 CSR matrix and m a float64 matrix
-    of two or more columns, each half runs `csr_matvecs`, the kernel of
-    scipy's own a @ m, on a range of a's rows, split where a's nonzeros
-    split evenly, into one zeroed output."""
-    if 16 * m.size < SPLIT_MIN or a.format != "csr" or m.shape[1] < 2 or not a.dtype == m.dtype == np.float64:
+    """a @ m, for a scipy sparse matrix a and a 2-D m. For a float64 CSR a
+    and a float64 m of two or more columns, each half runs `csr_matvecs`,
+    the kernel of scipy's own a @ m, on its rows into one zeroed output."""
+    if (csr_matvecs is None or a.format != "csr" or m.shape[1] < 2 or m.shape[0] != a.shape[1]
+            or not a.dtype == m.dtype == np.float64):
         return a @ m
     out, ptr, flat = np.zeros((a.shape[0], m.shape[1])), a.indptr, m.ravel()
 
@@ -204,18 +195,14 @@ def sparse_rows(a, m: np.ndarray) -> np.ndarray:
         csr_matvecs(rows.stop - rows.start, a.shape[1], m.shape[1], ptr[rows.start:rows.stop + 1], a.indices,
                     a.data, flat, out[rows].reshape(-1))
 
-    _halves(half, int(np.searchsorted(ptr, ptr[-1] // 2)), a.shape[0])
+    _halves(half, a.shape[0], 16 * m.size)
     return out
 
 
 def row_halves(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
     """fn(out, *arrays), for a pass that writes only into its arrays and
     whose every row of output depends only on the same rows of each
-    array; returns out. From SPLIT_MIN / 16 cells of out up, each half
-    runs fn on its rows of every array; operands that broadcast along the
-    rows belong in fn itself."""
-    if 16 * out.size < SPLIT_MIN:
-        fn(out, *arrays)
-    else:
-        _halves(lambda rows: fn(out[rows], *[x[rows] for x in arrays]), len(out) // 2, len(out))
+    array; returns out. Each half runs fn on its rows of every array;
+    operands that broadcast along the rows belong in fn itself."""
+    _halves(lambda rows: fn(out[rows], *[x[rows] for x in arrays]), len(out), 16 * out.size)
     return out

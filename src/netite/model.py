@@ -88,11 +88,6 @@ class ForwardTrace:
     head_rows: list  # [t] indices of the rows routed to head t
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
 def init_params(cfg, num_features: int, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights and zero biases, deterministic given the rng.
 
@@ -102,7 +97,8 @@ def init_params(cfg, num_features: int, rng: np.random.Generator) -> ModelParams
     """
     params = ModelParams(num_features, [cfg.rep_dim] * cfg.gcn_layers, [cfg.hidden_units] * cfg.out_layers)
     for w in params.gcn_weights + params.head_weights[0] + params.head_weights[1]:
-        w[...] = glorot_uniform(rng, *w.shape)
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
 
 

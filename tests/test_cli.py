@@ -226,6 +226,21 @@ def test_train_bad_config_exits_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_unallocatable_size_exits_2_naming_it(tmp_path, capsys, command):
+    """Petabytes, beyond any address space, so the allocation fails at once:
+    train's theta at --dim 10**8, simulate's topic matrix at vocab 10**15."""
+    if command == "train":
+        args = ["train", "--data", str(simulate_dir(tmp_path, capsys=capsys) / "rep_0"), "--dim", str(10**8)]
+    else:
+        args = ["simulate", "--config", str(write_sim_config(tmp_path, vocab=10**15)), "--out", str(tmp_path / "d")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "PiB" in captured.err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_train_overflow_exits_5(tmp_path, capsys):
     out = simulate_dir(tmp_path, capsys=capsys)
     nodes = out / "rep_0" / "nodes.tsv"

@@ -295,3 +295,72 @@ def test_row_halves_cut_every_array_by_rows(worker_calls):
     row_halves(lambda out, u, k: np.multiply(np.multiply(u[:, None], k, out=out), v, out=out), out, u, k)
     assert out.tobytes() == (u[:, None] * k * v).tobytes()
     assert len(worker_calls) == 2
+
+
+def test_sparse_rows_of_mismatched_shapes_raises():
+    """scipy's kernel reads m unchecked, so a mismatched m goes to a @ m,
+    which raises, at any size."""
+    eye = sp.identity(905, format="csr")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sparse_rows(eye, np.ones((904, 300)))
+
+
+MOVED_KERNEL_RUN = """
+import sys, types
+import scipy.sparse as sp
+sys.modules["scipy.sparse._sparsetools"] = types.ModuleType("scipy.sparse._sparsetools")  # without csr_matvecs
+from netite import graph, linalg, simgen
+assert linalg.csr_matvecs is None
+ahat = graph.normalize_adjacency(simgen.simulate(simgen.SimConfig(n=600, vocab=50)).net)
+for cols in (2, 500):
+    m = linalg.make_rng(16).normal(size=(600, cols))
+    assert linalg.sparse_rows(ahat, m).tobytes() == (ahat @ m).tobytes()
+"""
+
+
+def test_import_without_the_private_scipy_kernel():
+    """A scipy whose scipy.sparse._sparsetools has no csr_matvecs still
+    imports netite, and sparse_rows is a @ m, byte for byte, whole."""
+    out = subprocess.run([sys.executable, "-c", MOVED_KERNEL_RUN], capture_output=True, text=True, env=_src_env())
+    assert out.returncode == 0, out.stderr
+
+
+KERNEL_RUN = """
+import ctypes
+import numpy as np
+from netite import linalg
+names = []
+for lib in linalg._one_blas_thread():
+    try:
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except AttributeError:
+        continue
+    corename.restype = ctypes.c_char_p
+    names.append(corename().decode())
+print(",".join(names), flush=True)
+calls, worker = [], linalg._worker
+linalg._ONE_CPU, linalg._worker = False, lambda: calls.append(1) or worker()
+a, b = linalg.make_rng(11).normal(size=(400, 500)), linalg.make_rng(12).normal(size=(500, 300))
+k, x = linalg.make_rng(14).normal(size=(905, 883)), linalg.make_rng(15).normal(size=883)
+assert linalg.split_rows(np.matmul, a, b).tobytes() == (a @ b).tobytes()
+assert linalg.matvec(k)(x).tobytes() == k.dot(x).tobytes()
+assert len(calls) == 2
+"""
+
+
+@pytest.mark.parametrize("coretype, core", [("Haswell", "Haswell"), ("SkylakeX", "SkylakeX"),
+                                            ("Sandybridge", "Sandybridge"), ("Nehalem", "Nehalem"),
+                                            ("Prescott", "Katmai")])
+def test_split_bits_on_each_openblas_kernel(coretype, core):
+    """The row blocks hold on each x86_64 kernel OpenBLAS may pick at run
+    time: there a split equals the whole product. A process of its own per
+    kernel, since OpenBLAS reads OPENBLAS_CORETYPE once, at load."""
+    out = subprocess.run([sys.executable, "-c", KERNEL_RUN], capture_output=True, text=True,
+                         env=_src_env(OPENBLAS_CORETYPE=coretype))
+    if out.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernel")
+    assert out.stdout, out.stderr
+    running = out.stdout.split("\n")[0]
+    if running != core:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} runs {running!r} here, not {core}")
+    assert out.returncode == 0, out.stderr
